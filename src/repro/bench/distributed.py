@@ -1,27 +1,25 @@
-"""Distributed-transport ladder: simulated vs socket MPI, ranks x K.
+"""Distributed ladder: the socket-world chain over ranks x K.
 
-Runs the same fixed-seed distributed Gibbs chain through both comm
-worlds — the in-memory :class:`~repro.mpi.simmpi.SimCommWorld` (zero
-wire cost, the orchestrated baseline) and the socket-backed
-:class:`~repro.mpi.net.SocketCommWorld` (real localhost TCP links, the
-frame codec, receiver threads, flush barriers) — across a grid of rank
-counts and latent dimensions.  Because the socket chain is bit-identical
-to the simulated one by construction, the rungs time *the same
-arithmetic*; the gap between the two transports at one grid point is
-purely the wire: framing, kernel crossings, and barrier round-trips.
+Runs one fixed-seed distributed Gibbs chain per grid point of rank
+counts and latent dimensions, every rank on its own thread over a
+localhost :class:`~repro.mpi.net.SocketCommWorld` (real TCP links, the
+frame codec, receiver threads, flush barriers) — the sampler's default
+in-process host.
 
-Every row also re-checks that parity (``parity`` column): the socket
-run's final RMSE must equal the simulated run's bitwise, so a timing
-document can never silently describe two different chains.
+In gather mode every row also re-checks parity (``parity`` column): the
+chain's final RMSE trajectory must equal the sequential sampler's
+bitwise, so a timing document can never silently describe a different
+chain.  Stats-mode rows carry no parity check.
 
 Read the numbers with the machine in mind: on a single-core container
-(the committed baseline — see ``environment.cpu_count``) all socket
-ranks time-slice one CPU, so the ladder measures transport overhead
-only, not parallel speed-up; rank scaling needs real cores or hosts
-(``python -m repro.mpi.net --spawn``).
+(see ``environment.cpu_count``) all socket ranks time-slice one CPU, so
+the ladder measures transport overhead only, not parallel speed-up;
+rank scaling needs real cores or hosts (``python -m repro.mpi.net
+--spawn``).
 
 ``python -m repro.bench distributed --record`` writes the recorded
-document to ``BENCH_pr10.json``.
+document to ``BENCH_pr10.json``; the committed file predates the removal
+of the simulated-world rung (``sim``) and its ``vs_sim`` column.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ class DistributedBenchRow:
     mb_sent: float
     final_rmse: float
     parity: Optional[bool]
-    vs_sim: Optional[float]
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -69,7 +66,6 @@ class DistributedBenchRow:
             "mb_sent": self.mb_sent,
             "final_rmse": self.final_rmse,
             "parity": self.parity,
-            "vs_sim": self.vs_sim,
         }
 
 
@@ -84,8 +80,8 @@ class DistributedBenchResult:
     def to_table(self) -> Table:
         table = Table(
             ["transport", "ranks", "K", "sweeps", "seconds", "sweeps/s",
-             "msgs", "MB sent", "final rmse", "parity", "vs sim"],
-            title="Distributed ladder — simulated vs socket comm world",
+             "msgs", "MB sent", "final rmse", "parity"],
+            title="Distributed ladder — socket comm world, ranks x K",
         )
         for row in self.rows:
             table.add_row(
@@ -95,7 +91,6 @@ class DistributedBenchResult:
                 round(row.final_rmse, 6),
                 "-" if row.parity is None else ("ok" if row.parity
                                                 else "MISMATCH"),
-                "-" if row.vs_sim is None else f"{row.vs_sim:.2f}x",
             )
         return table
 
@@ -125,21 +120,18 @@ def run_distributed_bench(
     seed: int = 7,
     data_seed: int = 321,
 ) -> DistributedBenchResult:
-    """Time the distributed chain over both transports on a ranks x K grid.
+    """Time the distributed chain on a ranks x K grid.
 
-    Each grid point runs the *identical* fixed-seed chain twice: through
-    ``SimCommWorld`` (transport ``sim``) and through localhost TCP
-    sockets (transport ``socket``, one thread per rank via
-    :func:`~repro.distributed.spmd.run_local_socket_world`).  ``vs_sim``
-    is the socket rung's sweep rate over the sim rung's at the same grid
-    point — the price of the real wire; ``parity`` re-asserts the
-    bit-identical final RMSE that the test suite pins.
+    Each grid point runs the fixed-seed chain once with its ranks on
+    threads over localhost TCP sockets (transport ``socket``); in gather
+    mode ``parity`` re-asserts the bit-identical RMSE trajectory of the
+    sequential sampler that the test suite pins.
     """
+    from repro.core.gibbs import GibbsSampler
     from repro.distributed.sampler import (
         DistributedGibbsSampler,
         DistributedOptions,
     )
-    from repro.distributed.spmd import run_local_socket_world
 
     check_positive("n_samples", n_samples)
     data = make_low_rank_dataset(SyntheticConfig(
@@ -151,46 +143,28 @@ def run_distributed_bench(
     for num_latent in num_latents:
         config = BPMFConfig(num_latent=num_latent, burn_in=burn_in,
                             n_samples=n_samples, alpha=alpha)
+        reference = (GibbsSampler(config).run(data.split.train, data.split,
+                                              seed=seed)
+                     if hyper_mode == "gather" else None)
         for n_ranks in rank_counts:
             options = DistributedOptions(n_ranks=n_ranks,
                                          hyper_mode=hyper_mode,
                                          buffer_capacity=buffer_capacity)
-
             begin = time.perf_counter()
-            sim_result, sim_info = DistributedGibbsSampler(
-                config, options).run(data.split.train, data.split,
-                                     seed=seed)
-            sim_seconds = time.perf_counter() - begin
-            sim_rate = sweeps / sim_seconds
-            rows.append(DistributedBenchRow(
-                transport="sim", ranks=n_ranks, num_latent=num_latent,
-                sweeps=sweeps, seconds=sim_seconds, sweeps_per_s=sim_rate,
-                messages=sim_info.n_messages,
-                mb_sent=sim_info.bytes_sent / 1e6,
-                final_rmse=float(sim_result.final_rmse),
-                parity=None, vs_sim=None,
-            ))
-
-            begin = time.perf_counter()
-            outcomes = run_local_socket_world(
-                lambda: DistributedGibbsSampler(config, options),
-                n_ranks, data.split.train, data.split, seed=seed)
-            socket_seconds = time.perf_counter() - begin
-            socket_result, _ = outcomes[0]
-            socket_rate = sweeps / socket_seconds
+            result, info = DistributedGibbsSampler(config, options).run(
+                data.split.train, data.split, seed=seed)
+            seconds = time.perf_counter() - begin
             rows.append(DistributedBenchRow(
                 transport="socket", ranks=n_ranks, num_latent=num_latent,
-                sweeps=sweeps, seconds=socket_seconds,
-                sweeps_per_s=socket_rate,
-                # Each rank's info counts its own sends; the world total
-                # is their sum (the sim transport already reports totals).
-                messages=sum(info.n_messages for _, info in outcomes),
-                mb_sent=sum(info.bytes_sent for _, info in outcomes) / 1e6,
-                final_rmse=float(socket_result.final_rmse),
-                parity=(socket_result.final_rmse == sim_result.final_rmse
-                        and socket_result.rmse_running_mean
-                        == sim_result.rmse_running_mean),
-                vs_sim=socket_rate / sim_rate,
+                sweeps=sweeps, seconds=seconds,
+                sweeps_per_s=sweeps / seconds,
+                # Wire frames summed over the ranks.
+                messages=info.n_messages,
+                mb_sent=info.bytes_sent / 1e6,
+                final_rmse=float(result.final_rmse),
+                parity=(None if reference is None
+                        else result.rmse_running_mean
+                        == reference.rmse_running_mean),
             ))
 
     return DistributedBenchResult(

@@ -56,9 +56,8 @@ def _experiments() -> Dict[str, Tuple[Callable[[], object], Callable[[object], T
                     "cluster, shards x workers (records BENCH_*.json via "
                     "--record)"),
         "distributed": (run_distributed_bench, lambda r: r.to_table(),
-                        "Distributed ladder: simulated vs socket comm "
-                        "world, ranks x K (records BENCH_*.json via "
-                        "--record)"),
+                        "Distributed ladder: socket comm world, ranks x "
+                        "K (records BENCH_*.json via --record)"),
         "fig3": (run_fig3, lambda r: r.to_table(),
                  "Figure 3: multicore throughput vs threads"),
         "fig4": (run_fig4, lambda r: r.to_table(),

@@ -40,6 +40,7 @@ import multiprocessing
 import os
 import queue as queue_module
 import sys
+import threading
 import traceback
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, List, Optional, Tuple
@@ -68,7 +69,8 @@ def default_start_method() -> str:
     A start method the application already fixed (e.g. an explicit
     ``set_start_method("spawn")`` because it runs CUDA or many threads) is
     always respected.  Otherwise: fork on Linux (sub-second pool spawns,
-    no pickling), and the platform default everywhere else — macOS
+    no pickling; forkserver when called off the main thread), and the
+    platform default everywhere else — macOS
     deliberately defaults to spawn because forking after the parent has
     initialised Accelerate/BLAS can deadlock or abort the children.
     """
@@ -77,7 +79,14 @@ def default_start_method() -> str:
         return current
     if sys.platform == "linux" \
             and "fork" in multiprocessing.get_all_start_methods():
-        return "fork"
+        # fork copies only the calling thread, so a lock a sibling thread
+        # holds at that instant (the resource tracker's, say) stays locked
+        # forever in the child.  Pools built off the main thread — the
+        # ranks of an in-process distributed run — therefore fork from the
+        # single-threaded fork server instead.
+        if threading.current_thread() is threading.main_thread():
+            return "fork"
+        return "forkserver"
     return multiprocessing.get_start_method(allow_none=False)
 
 

@@ -1,6 +1,6 @@
 """Distributed BPMF (Section IV of the paper).
 
-Built on the simulated MPI substrate (:mod:`repro.mpi`):
+Built on the MPI substrate (:mod:`repro.mpi`):
 
 * :mod:`repro.distributed.partition` — distributes the rows of ``U`` and
   ``V`` over the ranks using the paper's workload model (fixed cost plus a
@@ -13,10 +13,11 @@ Built on the simulated MPI substrate (:mod:`repro.mpi`):
   sampler: ranks hold their own copies of the factor matrices, update the
   items they own, stream the updates through send buffers and apply the
   buffers they receive; the result is statistically identical to the
-  sequential sampler.
-* :mod:`repro.distributed.sync_sampler` — the bulk-synchronous baseline
-  that exchanges everything at the end of each phase in single large
-  messages (the "more common synchronous approach" the paper outperforms).
+  sequential sampler (bitwise in ``"gather"`` mode).  A buffer capacity of
+  at least a phase's items gives the bulk-synchronous baseline (the "more
+  common synchronous approach" the paper outperforms).
+* :mod:`repro.distributed.spmd` — the per-rank program the sampler runs,
+  on threads of one process or one rank per OS process.
 * :mod:`repro.distributed.scaling` — the strong-scaling performance model
   (nodes, racks, cache effects, message overheads) that regenerates
   Figures 4 and 5.
@@ -25,7 +26,6 @@ Built on the simulated MPI substrate (:mod:`repro.mpi`):
 from repro.distributed.partition import Partition, partition_ratings
 from repro.distributed.comm_plan import CommunicationPlan, build_comm_plan
 from repro.distributed.sampler import DistributedGibbsSampler, DistributedOptions
-from repro.distributed.sync_sampler import BulkSynchronousGibbsSampler
 from repro.distributed.scaling import (
     ScalingConfig,
     ScalingPoint,
@@ -40,7 +40,6 @@ __all__ = [
     "build_comm_plan",
     "DistributedGibbsSampler",
     "DistributedOptions",
-    "BulkSynchronousGibbsSampler",
     "ScalingConfig",
     "ScalingPoint",
     "StrongScalingResult",

@@ -1,6 +1,6 @@
-"""Asynchronous distributed BPMF Gibbs sampler on the simulated MPI world.
+"""Asynchronous distributed BPMF Gibbs sampler.
 
-Every simulated rank owns a block of users and a block of movies (from the
+Every rank owns a block of users and a block of movies (from the
 workload-aware partition) and keeps its *own copies* of ``U`` and ``V``.
 Within one iteration:
 
@@ -22,35 +22,32 @@ Within one iteration:
 Because ranks only ever see remote data that arrived in messages, a wrong
 or incomplete communication plan makes the result diverge from the
 sequential reference — the accuracy-parity tests exploit exactly this.
+
+There is one implementation of this algorithm: the per-rank program of
+:mod:`repro.distributed.spmd`, which this module's sampler runs either on
+threads of one process or as one rank of a multi-process world.  In
+``"gather"`` mode its chain is bit-identical to the sequential
+:class:`repro.core.gibbs.GibbsSampler` for any rank count and transport.
+Bulk-synchronous exchange (one message per communicating rank pair and
+phase, the "more common synchronous approach" the paper compares
+against) is ``buffer_capacity`` set to at least the items of a phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-import numpy as np
-
-from repro.core.batch_engine import make_update_engine
 from repro.core.gibbs import BPMFResult, ResumeLike
-from repro.core.metrics import rmse
-from repro.core.predict import PosteriorPredictor
-from repro.core.priors import BPMFConfig, GaussianPrior
-from repro.core.state import BPMFState, initialize_state
+from repro.core.priors import BPMFConfig
 from repro.core.updates import HybridUpdatePolicy, UpdateMethod
-from repro.core.wishart import (
-    normal_wishart_posterior,
-    normal_wishart_posterior_from_stats,
-    sample_normal_wishart,
-)
-from repro.distributed.comm_plan import CommunicationPlan, build_comm_plan
-from repro.distributed.partition import Partition, partition_ratings
-from repro.mpi.buffers import BufferStats, SendBuffer
-from repro.mpi.simmpi import SimComm, SimCommWorld
+from repro.distributed.comm_plan import CommunicationPlan
+from repro.distributed.partition import Partition
+from repro.mpi.buffers import BufferStats
 from repro.parallel.cost_model import WorkloadModel
 from repro.sparse.csr import RatingMatrix
 from repro.sparse.split import RatingSplit
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike
 from repro.utils.validation import ValidationError, check_in, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> core)
@@ -58,19 +55,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> core)
 
 __all__ = ["DistributedOptions", "DistributedGibbsSampler", "DistributedRunInfo"]
 
-_PHASE_TAGS = {"movies": 1, "users": 2}
-
 
 @dataclass
 class DistributedOptions:
     """Execution options of the distributed sampler.
 
     ``checkpoint`` enables save-every-k-sweeps posterior snapshots of the
-    authoritative gathered state.  At a sweep boundary every rank's copy of
-    each factor row it will read next sweep equals the authoritative row
-    (they were exchanged at the end of the phase that last wrote them), so
-    resuming by handing all ranks the gathered state reproduces the
-    uninterrupted chain exactly.
+    authoritative state, gathered and saved by rank 0.  At a sweep boundary
+    every rank's copy of each factor row it will read next sweep equals the
+    authoritative row (they were exchanged at the end of the phase that
+    last wrote them), so resuming by handing all ranks the gathered state
+    reproduces the uninterrupted chain exactly.
+
+    ``buffer_capacity`` is the number of items per message; a capacity of
+    at least the items a rank updates in one phase gives bulk-synchronous
+    exchange (one message per communicating rank pair and phase).
     """
 
     n_ranks: int = 4
@@ -81,9 +80,9 @@ class DistributedOptions:
     policy: HybridUpdatePolicy = field(default_factory=HybridUpdatePolicy)
     engine: str = "batched"  # update execution strategy (see core.batch_engine)
     compute_dtype: str = "float64"  # kernel precision of the batched/shared engines
-    #: Process-pool size per node for ``engine="shared"`` — the simulated
-    #: ranks share one pool, which mirrors a real deployment where every
-    #: node runs its phase across its local cores.
+    #: Process-pool size per rank for ``engine="shared"`` — every rank runs
+    #: its phase across its own pool, as a cluster node does across its
+    #: local cores.
     n_workers: Optional[int] = None
     workload: WorkloadModel = field(default_factory=WorkloadModel)
     keep_sample_predictions: bool = False
@@ -97,7 +96,13 @@ class DistributedOptions:
 
 @dataclass
 class DistributedRunInfo:
-    """Diagnostics of one distributed run (traffic, partition quality)."""
+    """Diagnostics of one distributed run (traffic, partition quality).
+
+    ``n_messages``/``bytes_sent`` count the wire frames a rank sent (data,
+    collectives and barrier markers) and ``buffer_stats`` its factor-row
+    buffers: this rank's under a per-process world, summed over the ranks
+    for an in-process run.
+    """
 
     partition: Partition
     plan: CommunicationPlan
@@ -107,210 +112,18 @@ class DistributedRunInfo:
     items_exchanged_per_iteration: int
 
 
-class _RankState:
-    """One rank's private copies of the factor matrices."""
-
-    def __init__(self, rank: int, user_factors: np.ndarray, movie_factors: np.ndarray):
-        self.rank = rank
-        self.user_factors = user_factors.copy()
-        self.movie_factors = movie_factors.copy()
-
-
 class DistributedGibbsSampler:
-    """Distributed BPMF over a :class:`repro.mpi.simmpi.SimCommWorld`."""
+    """Distributed BPMF: the SPMD rank program of :mod:`repro.distributed.spmd`.
+
+    The sampler object only holds the configuration; every rank builds
+    (and closes) its own engine inside the run, so one sampler can drive
+    any number of runs, on any transport.
+    """
 
     def __init__(self, config: BPMFConfig | None = None,
                  options: DistributedOptions | None = None):
         self.config = config or BPMFConfig()
         self.options = options or DistributedOptions()
-        # One engine shared by all simulated ranks: the bucket plans it
-        # caches are keyed per (axis, owned-items) pair, so each rank's
-        # subset gets its own plan while the arithmetic stays per-item
-        # deterministic (identical rows to a full-matrix plan).  With
-        # engine="shared" each rank's per-node phase runs across the
-        # engine's process pool, so node- and core-level parallelism
-        # compose as in the paper's cluster runs.
-        self._engine = make_update_engine(self.options.engine,
-                                          update_method=self.options.update_method,
-                                          policy=self.options.policy,
-                                          compute_dtype=self.options.compute_dtype,
-                                          n_workers=self.options.n_workers)
-
-    # ------------------------------------------------------------------ #
-    # hyperparameter step
-    # ------------------------------------------------------------------ #
-
-    def _sample_prior(self, entity: str, rank_states: List[_RankState],
-                      partition: Partition, comms: List[SimComm],
-                      rng: np.random.Generator, iteration: int) -> GaussianPrior:
-        """Resample one entity class's Gaussian prior across all ranks."""
-        hyperprior = (self.config.movie_hyperprior if entity == "movies"
-                      else self.config.user_hyperprior)
-        owned_of = partition.movies_of if entity == "movies" else partition.users_of
-
-        def local_rows(state: _RankState, owned: np.ndarray) -> np.ndarray:
-            matrix = state.movie_factors if entity == "movies" else state.user_factors
-            return matrix[owned]
-
-        if self.options.hyper_mode == "gather":
-            # Every rank sends its authoritative rows to rank 0, which
-            # rebuilds the full matrix in canonical order (bitwise identical
-            # to what the sequential sampler sees).
-            tag = 100 + _PHASE_TAGS[entity]
-            n_items = partition.n_movies if entity == "movies" else partition.n_users
-            full = np.zeros((n_items, self.config.num_latent))
-            for rank, state in enumerate(rank_states):
-                owned = owned_of(rank)
-                if rank == 0:
-                    full[owned] = local_rows(state, owned)
-                else:
-                    comms[rank].isend((owned, local_rows(state, owned)), dest=0,
-                                      tag=tag, description=f"gather-{entity}")
-            for _ in range(len(rank_states) - 1):
-                owned, rows = comms[0].recv(tag=tag)
-                full[owned] = rows
-            posterior = normal_wishart_posterior(full, hyperprior)
-        else:
-            # Sufficient-statistics allreduce: (count, sum, sum of outer
-            # products) flattened into one vector per rank.
-            k = self.config.num_latent
-            key = f"hyper-{entity}-{iteration}"
-            result = None
-            for rank, state in enumerate(rank_states):
-                owned = owned_of(rank)
-                rows = local_rows(state, owned)
-                stats = np.concatenate([
-                    [float(rows.shape[0])],
-                    rows.sum(axis=0) if rows.size else np.zeros(k),
-                    (rows.T @ rows).ravel() if rows.size else np.zeros(k * k),
-                ])
-                contribution = comms[rank].allreduce(stats, key=key)
-                if contribution is not None:
-                    result = contribution
-            if result is None:  # pragma: no cover - defensive
-                raise ValidationError("allreduce did not complete")
-            for rank in range(len(rank_states) - 1):
-                comms[rank].fetch_allreduce(key=key)
-            n = int(round(result[0]))
-            factor_sum = result[1:1 + k]
-            factor_outer = result[1 + k:].reshape(k, k)
-            posterior = normal_wishart_posterior_from_stats(
-                n, factor_sum, factor_outer, hyperprior)
-
-        # Rank 0 draws; the value is broadcast (functionally shared here,
-        # with the messages posted so the traffic is still auditable).
-        prior = sample_normal_wishart(posterior, rng)
-        for rank in range(1, len(rank_states)):
-            comms[0].isend((prior.mean, prior.precision), dest=rank,
-                           tag=90 + _PHASE_TAGS[entity], description="bcast-prior")
-        for rank in range(1, len(rank_states)):
-            comms[rank].recv(source=0, tag=90 + _PHASE_TAGS[entity])
-        return prior
-
-    # ------------------------------------------------------------------ #
-    # one phase
-    # ------------------------------------------------------------------ #
-
-    def _run_phase(self, entity: str, ratings: RatingMatrix,
-                   rank_states: List[_RankState], partition: Partition,
-                   plan: CommunicationPlan, comms: List[SimComm],
-                   prior: GaussianPrior, noise: np.ndarray,
-                   buffer_stats: BufferStats) -> int:
-        """Update all items of one entity class and exchange the results."""
-        tag = _PHASE_TAGS[entity]
-        if entity == "movies":
-            owned_of = partition.movies_of
-            destinations = plan.movie_destinations
-            axis = ratings.by_movie
-        else:
-            owned_of = partition.users_of
-            destinations = plan.user_destinations
-            axis = ratings.by_user
-
-        updated = 0
-        for rank, state in enumerate(rank_states):
-            comm = comms[rank]
-            target = state.movie_factors if entity == "movies" else state.user_factors
-            source = state.user_factors if entity == "movies" else state.movie_factors
-            buffers: Dict[int, SendBuffer] = {}
-
-            def flush(dest: int, ids: np.ndarray, payload: np.ndarray,
-                      _comm=comm, _tag=tag) -> None:
-                _comm.isend((ids, payload), dest=dest, tag=_tag,
-                            description=f"{entity}-update")
-
-            # Update all of this rank's items through the engine, then
-            # stream the refreshed rows into the per-destination buffers.
-            # Within a phase an item's conditional never reads same-class
-            # factors, so updating before enqueueing sends the same values
-            # (and the same message pattern) as the old interleaved loop.
-            owned = np.asarray(owned_of(rank), dtype=np.int64)
-            updated += self._engine.update_items(
-                target, source, axis, prior, self.config.alpha, noise,
-                items=owned)
-            for item in owned:
-                item = int(item)
-                for dest in destinations[item]:
-                    dest = int(dest)
-                    if dest not in buffers:
-                        buffers[dest] = SendBuffer(
-                            dest, self.options.buffer_capacity,
-                            self.config.num_latent, on_flush=flush)
-                    buffers[dest].add(int(item), target[item])
-            for buffer in buffers.values():
-                buffer.flush(partial=True)
-                buffer_stats_local = buffer.stats
-                buffer_stats.n_items += buffer_stats_local.n_items
-                buffer_stats.n_messages += buffer_stats_local.n_messages
-                buffer_stats.n_flushes_full += buffer_stats_local.n_flushes_full
-                buffer_stats.n_flushes_partial += buffer_stats_local.n_flushes_partial
-
-        # Apply received updates: every rank drains its mailbox for this tag.
-        for rank, state in enumerate(rank_states):
-            target = state.movie_factors if entity == "movies" else state.user_factors
-            for ids, payload in comms[rank].drain(tag=tag):
-                target[ids] = payload
-        return updated
-
-    # ------------------------------------------------------------------ #
-    # gather for evaluation
-    # ------------------------------------------------------------------ #
-
-    def _gather_state(self, rank_states: List[_RankState], partition: Partition,
-                      comms: List[SimComm], user_prior: GaussianPrior,
-                      movie_prior: GaussianPrior, iteration: int) -> BPMFState:
-        """Assemble the authoritative factor rows at rank 0 for evaluation."""
-        n_users, n_movies = partition.n_users, partition.n_movies
-        k = self.config.num_latent
-        user_factors = np.zeros((n_users, k))
-        movie_factors = np.zeros((n_movies, k))
-        tag = 50
-        for rank, state in enumerate(rank_states):
-            users = partition.users_of(rank)
-            movies = partition.movies_of(rank)
-            if rank == 0:
-                user_factors[users] = state.user_factors[users]
-                movie_factors[movies] = state.movie_factors[movies]
-            else:
-                comms[rank].isend(
-                    (users, state.user_factors[users], movies,
-                     state.movie_factors[movies]),
-                    dest=0, tag=tag, description="gather-eval")
-        for _ in range(len(rank_states) - 1):
-            users, user_rows, movies, movie_rows = comms[0].recv(tag=tag)
-            user_factors[users] = user_rows
-            movie_factors[movies] = movie_rows
-        return BPMFState(
-            user_factors=user_factors,
-            movie_factors=movie_factors,
-            user_prior=user_prior,
-            movie_prior=movie_prior,
-            iteration=iteration,
-        )
-
-    # ------------------------------------------------------------------ #
-    # full run
-    # ------------------------------------------------------------------ #
 
     def run(self, train: RatingMatrix, split: RatingSplit | None = None,
             seed: SeedLike = 0, partition: Partition | None = None,
@@ -318,154 +131,32 @@ class DistributedGibbsSampler:
             comm_world=None) -> Tuple[Optional[BPMFResult], DistributedRunInfo]:
         """Run the distributed sampler; returns ``(result, diagnostics)``.
 
-        ``resume`` continues a checkpointed chain: every rank is seeded with
-        the snapshot's authoritative factor matrices (exactly what its own
-        copies held at that sweep boundary — see :class:`DistributedOptions`)
-        and the generator state is restored, so the completed run matches an
-        uninterrupted one bit for bit.  Traffic diagnostics
-        (:class:`DistributedRunInfo`) restart from zero at the resume point.
-
         ``comm_world`` selects the transport.  ``None`` (the default)
-        orchestrates all ranks in-process over a fresh
-        :class:`~repro.mpi.simmpi.SimCommWorld`; passing a ``SimCommWorld``
-        orchestrates over that world instead (its message log then holds
-        the run's traffic).  Passing a *real* per-process world — anything
-        with a ``rank`` attribute, e.g.
-        :class:`repro.mpi.net.SocketCommWorld` — switches to the SPMD
-        path (:func:`repro.distributed.spmd.run_spmd`): this process runs
-        only its own rank and exchanges factors over the wire.  The same
-        partition and communication plan drive every transport, and the
-        socket chain is bit-identical to the simulated one.  In SPMD mode
-        the result comes back on rank 0 only (``None`` elsewhere) and
-        checkpoint/resume are rejected.
+        hosts all ``n_ranks`` ranks on threads of this process over
+        localhost sockets (:func:`repro.distributed.spmd.run_local_world`)
+        and returns rank 0's result with the traffic summed over the
+        ranks.  A per-process world — anything with a ``rank`` attribute,
+        e.g. :class:`repro.mpi.net.SocketCommWorld` — runs only this
+        process's rank (:func:`repro.distributed.spmd.run_spmd`); the
+        result then comes back on rank 0 only (``None`` elsewhere) and
+        the traffic counts this rank's sends.
+
+        ``resume`` continues a checkpointed chain: rank 0 opens the
+        snapshot and broadcasts its factors, generator state and sweep,
+        so the completed run matches an uninterrupted one bit for bit.
+        Under a per-process world every rank passes the same ``resume``
+        argument, but only rank 0 needs the file.  Traffic diagnostics
+        restart from zero at the resume point.
         """
-        from repro.serving.checkpoint import TrainingCheckpointer
-
-        if comm_world is not None and not isinstance(comm_world, SimCommWorld):
-            if not hasattr(comm_world, "rank"):
-                raise ValidationError(
-                    "comm_world must be None, a SimCommWorld, or a "
-                    "per-process world with a .rank (e.g. SocketCommWorld)")
-            if resume is not None:
-                raise ValidationError(
-                    "resume is an orchestrated-run feature; SPMD worlds "
-                    "cannot restore a gathered snapshot")
-            from repro.distributed.spmd import run_spmd
-            return run_spmd(self, comm_world, train, split=split, seed=seed,
-                            partition=partition)
-
-        rng = as_generator(seed)
-        snapshot, resumed_state, rng = TrainingCheckpointer.open_resume(
-            resume, None, rng)
-        if resumed_state is not None:
-            if resumed_state.n_users != train.n_users \
-                    or resumed_state.n_movies != train.n_movies:
-                raise ValidationError(
-                    "snapshot shape does not match the rating matrix")
-            reference_state = resumed_state
-        else:
-            reference_state = initialize_state(train, self.config, rng)
-
-        if partition is None:
-            partition = partition_ratings(
-                train, self.options.n_ranks, workload=self.options.workload,
-                reorder=self.options.reorder)
-        elif partition.n_ranks != self.options.n_ranks:
-            raise ValidationError("partition rank count does not match options")
-        plan = build_comm_plan(train, partition)
+        from repro.distributed.spmd import run_local_world, run_spmd
 
         if comm_world is None:
-            world = SimCommWorld(self.options.n_ranks)
-        else:
-            world = comm_world
-            if world.n_ranks != self.options.n_ranks:
-                raise ValidationError(
-                    f"comm_world has {world.n_ranks} ranks but "
-                    f"options.n_ranks is {self.options.n_ranks}")
-        comms = world.comms()
-        rank_states = [
-            _RankState(rank, reference_state.user_factors,
-                       reference_state.movie_factors)
-            for rank in range(self.options.n_ranks)
-        ]
-
-        if split is not None and split.n_test > 0:
-            test_users, test_movies, test_values = split.test_triplets()
-        else:
-            test_users, test_movies, test_values = train.triplets()
-        predictor = PosteriorPredictor(
-            test_users, test_movies,
-            keep_samples=self.options.keep_sample_predictions)
-        checkpointer = TrainingCheckpointer(self.config, self.options.checkpoint,
-                                            snapshot, reference_state, predictor)
-
-        buffer_stats = BufferStats()
-        user_prior = GaussianPrior.standard(self.config.num_latent)
-        movie_prior = GaussianPrior.standard(self.config.num_latent)
-        gathered = reference_state if snapshot is not None else None
-
-        # engine="shared" owns worker processes and shared-memory segments;
-        # the finally releases them even when a phase raises mid-run.
-        try:
-            for iteration in range(checkpointer.start_iteration,
-                                   self.config.total_iterations):
-                movie_prior = self._sample_prior("movies", rank_states,
-                                                 partition, comms, rng,
-                                                 iteration)
-                movie_noise = rng.standard_normal((train.n_movies,
-                                                   self.config.num_latent))
-                checkpointer.items_updated += self._run_phase(
-                    "movies", train, rank_states, partition, plan, comms,
-                    movie_prior, movie_noise, buffer_stats)
-                user_prior = self._sample_prior("users", rank_states,
-                                                partition, comms, rng,
-                                                iteration)
-                user_noise = rng.standard_normal((train.n_users,
-                                                  self.config.num_latent))
-                checkpointer.items_updated += self._run_phase(
-                    "users", train, rank_states, partition, plan, comms,
-                    user_prior, user_noise, buffer_stats)
-
-                gathered = self._gather_state(rank_states, partition, comms,
-                                              user_prior, movie_prior,
-                                              iteration + 1)
-                sample_pred = gathered.predict(test_users, test_movies)
-                if iteration >= self.config.burn_in:
-                    predictor.accumulate(gathered)
-                    mean_rmse = rmse(predictor.mean_prediction(), test_values)
-                else:
-                    mean_rmse = None
-                checkpointer.record(iteration, gathered,
-                                    rmse(sample_pred, test_values), mean_rmse)
-                checkpointer.maybe_save(iteration, gathered, rng, predictor)
-        finally:
-            self._engine.close()
-
-        if world.pending_messages():
+            return run_local_world(self, train, split, seed=seed,
+                                   partition=partition, resume=resume)
+        if not hasattr(comm_world, "rank"):
             raise ValidationError(
-                f"{world.pending_messages()} messages were never received — "
-                "the communication plan and the exchange loop are inconsistent")
-
-        log = world.message_log
-        result = BPMFResult(
-            config=self.config,
-            state=gathered,
-            rmse_per_sample=checkpointer.rmse_per_sample,
-            rmse_running_mean=checkpointer.rmse_running_mean,
-            rmse_burn_in=checkpointer.rmse_burn_in,
-            predictions=predictor.mean_prediction(),
-            sample_predictions=(predictor.sample_matrix()
-                                if self.options.keep_sample_predictions else None),
-            items_updated=checkpointer.items_updated,
-            factor_means=(checkpointer.factor_means
-                          if checkpointer.factor_means.n_samples else None),
-        )
-        info = DistributedRunInfo(
-            partition=partition,
-            plan=plan,
-            buffer_stats=buffer_stats,
-            n_messages=len(log),
-            bytes_sent=float(sum(record.n_bytes for record in log)),
-            items_exchanged_per_iteration=plan.total_items_exchanged(),
-        )
-        return result, info
+                "comm_world must be None (ranks on local threads) or a "
+                "per-process world with a .rank, e.g. SocketCommWorld; a "
+                "simulated SimCommWorld is no longer a training transport")
+        return run_spmd(self, comm_world, train, split, seed=seed,
+                        partition=partition, resume=resume)

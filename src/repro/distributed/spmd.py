@@ -1,27 +1,34 @@
-"""Per-rank SPMD training loop: one process, one rank, a real wire.
+"""The distributed BPMF sampler as one per-rank (SPMD) program.
 
-The orchestrated sampler (:mod:`repro.distributed.sampler`) steps every
-simulated rank from a single process — fine over
-:class:`~repro.mpi.simmpi.SimCommWorld`, impossible over real sockets
-where each rank lives in its own process.  :func:`run_spmd` is the same
-algorithm re-expressed as the program *one* rank runs: every rank owns
-its partition block, updates it through the shared engine, exchanges
-refreshed rows through its communicator, and rank 0 additionally
-evaluates the chain.
+:func:`run_spmd` is the program *one* rank runs: every rank owns its
+partition block, updates it through its own engine, streams the
+refreshed rows to the ranks that read them through its communicator,
+and rank 0 additionally evaluates (and checkpoints) the chain.  It is
+the only execution path of
+:meth:`repro.distributed.sampler.DistributedGibbsSampler.run`: a
+per-process world (:class:`repro.mpi.net.SocketCommWorld`, one OS
+process per rank) runs one rank, and :func:`run_local_world` hosts all
+ranks on threads of the calling process over localhost sockets.
 
-**Bit-parity with the orchestrated run** is the design constraint, and
-it falls out of four decisions:
+**Parity.**  In ``hyper_mode="gather"`` the chain is bit-identical to
+the sequential :class:`repro.core.gibbs.GibbsSampler` — factors, RMSE
+trajectory, predictions and posterior-mean factors, ties included — for
+any rank count, thread-hosted or multi-process.  In ``"stats"`` mode the
+hyperprior posterior comes from allreduced sufficient statistics, whose
+summation order differs from the sequential sampler's by rounding only;
+that chain is pinned by its own golden trajectory.  Four decisions make
+this hold:
 
 * *Replicated RNG.*  Every rank holds an identical generator seeded the
-  same way and performs the identical draw sequence the orchestrated
-  loop performs on its single stream: ``initialize_state``, then per
-  sweep one normal-wishart draw and one full noise matrix per entity
-  class.  Ranks draw the *full* noise matrix (not just their slice) so
-  the streams stay in lockstep — noise is O(items × K) doubles per
-  sweep, trivially affordable next to the factor exchange itself.
+  same way and performs the sequential sampler's draw sequence:
+  ``initialize_state``, then per sweep one normal-wishart draw and one
+  full noise matrix per entity class.  Ranks draw the *full* noise
+  matrix (not just their slice) so the streams stay in lockstep — noise
+  is O(items × K) doubles per sweep, trivially affordable next to the
+  factor exchange itself.
 * *Rank-order reductions.*  ``SocketComm.allreduce`` gathers to rank 0
-  and reduces with :class:`~repro.mpi.simmpi.ReduceOp` in rank order —
-  the exact floating-point association the simulated world uses.
+  and reduces in rank order, so every rank count and every host sees
+  the same floating-point association.
 * *Exact wire.*  Factor rows, sufficient statistics and posterior
   parameters cross the wire as binary float64 frames
   (:mod:`repro.serving.net.protocol`), bit-preserving by construction.
@@ -30,23 +37,33 @@ it falls out of four decisions:
   and runs until they all have.  Received rows land in disjoint slices,
   so arrival order — the one thing a real network does not guarantee —
   cannot affect the result; an unexpected id raises instead (a wrong
-  plan must fail loudly, exactly like the orchestrated run's
-  pending-message audit).
+  plan must fail loudly).
 
-Checkpoint/resume stays an orchestrated-run feature: snapshots capture
-the *gathered* authoritative state, which only rank 0 holds here, and
-restart coordination across real processes belongs to a launcher, not a
-sampler.  ``run_spmd`` refuses checkpoint options rather than silently
-dropping them.
+**Engines.**  Each rank builds its own update engine from the options
+and closes it when the run ends, so a sampler object carries no
+per-rank state.  Under ``engine="shared"`` that means one process pool
+of ``n_workers`` per rank, as on a cluster node.
+
+**Checkpoint/resume.**  Rank 0 owns the
+:class:`~repro.serving.checkpoint.TrainingCheckpointer` and the
+posterior predictor, exactly as the sequential sampler does, and saves
+the gathered authoritative state.  At a sweep boundary every rank's copy
+of each row it reads next equals the authoritative row, so on resume
+rank 0 opens the snapshot and broadcasts the factors, the generator
+state and the start sweep; the other ranks adopt them and never touch
+the file.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+import copy
+import threading
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.gibbs import BPMFResult
+from repro.core.batch_engine import UpdateEngine, make_update_engine
+from repro.core.gibbs import BPMFResult, ResumeLike
 from repro.core.metrics import rmse
 from repro.core.predict import PosteriorPredictor
 from repro.core.priors import GaussianPrior
@@ -66,7 +83,10 @@ from repro.sparse.split import RatingSplit
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import ValidationError
 
-__all__ = ["run_spmd", "expected_incoming", "run_local_socket_world"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.distributed.sampler import DistributedRunInfo
+
+__all__ = ["run_spmd", "run_local_world", "expected_incoming"]
 
 _PHASE_TAGS = {"movies": 1, "users": 2}
 _GATHER_BASE_TAG = 100
@@ -112,13 +132,46 @@ def _bcast_posterior(comm, posterior: Optional[NormalWishartPrior],
     )
 
 
+def _bcast_resume_point(comm, state: Optional[BPMFState],
+                        rng: np.random.Generator, start: int
+                        ) -> Tuple[BPMFState, np.random.Generator, int]:
+    """Hand rank 0's restored chain position to every rank.
+
+    Only rank 0 opened the snapshot; the factors ride binary frames
+    (exact) and the generator state rides JSON (integers, exact).  The
+    priors are redrawn before their first use, so the adopted state
+    carries standard placeholders.
+    """
+    from repro.serving.checkpoint import encode_rng_state, restore_generator
+
+    if comm.rank == 0:
+        comm.bcast({"user_factors": state.user_factors,
+                    "movie_factors": state.movie_factors,
+                    "rng": encode_rng_state(rng), "start": int(start)},
+                   root=0)
+        return state, rng, start
+    payload = comm.bcast(None, root=0)
+    user_factors = np.array(payload["user_factors"], dtype=np.float64)
+    k = user_factors.shape[1]
+    adopted = BPMFState(
+        user_factors=user_factors,
+        movie_factors=np.array(payload["movie_factors"], dtype=np.float64),
+        user_prior=GaussianPrior.standard(k),
+        movie_prior=GaussianPrior.standard(k),
+        iteration=int(payload["start"]))
+    return adopted, restore_generator(payload["rng"]), int(payload["start"])
+
+
 class _SpmdRank:
     """The state one rank carries through an SPMD run."""
 
-    def __init__(self, sampler, comm, train: RatingMatrix,
-                 partition: Partition, plan: CommunicationPlan,
-                 rng: np.random.Generator, state: BPMFState):
-        self.sampler = sampler
+    def __init__(self, config, options, engine: UpdateEngine, comm,
+                 train: RatingMatrix, partition: Partition,
+                 plan: CommunicationPlan, rng: np.random.Generator,
+                 state: BPMFState):
+        self.config = config
+        self.options = options
+        self.engine = engine
         self.comm = comm
         self.rank = comm.rank
         self.train = train
@@ -128,7 +181,6 @@ class _SpmdRank:
         self.user_factors = state.user_factors.copy()
         self.movie_factors = state.movie_factors.copy()
         self.buffer_stats = BufferStats()
-        self.items_updated = 0
         self.expected: Dict[str, Set[int]] = {
             "movies": expected_incoming(partition.movie_owner,
                                         plan.movie_destinations, self.rank),
@@ -139,15 +191,13 @@ class _SpmdRank:
     # -- hyperparameters ---------------------------------------------------
 
     def sample_prior(self, entity: str, iteration: int) -> GaussianPrior:
-        """The SPMD half of ``DistributedGibbsSampler._sample_prior``.
+        """Resample one entity class's Gaussian prior on every rank.
 
         Both modes end with *every* rank holding the identical posterior
         and drawing ``sample_normal_wishart`` from its own (lockstep)
-        generator — the draw that the orchestrated loop performs once on
-        its single stream.
+        generator — the draw the sequential sampler performs once.
         """
-        config, options = self.sampler.config, self.sampler.options
-        comm = self.comm
+        config, comm = self.config, self.comm
         hyperprior = (config.movie_hyperprior if entity == "movies"
                       else config.user_hyperprior)
         owned = (self.partition.movies_of(self.rank) if entity == "movies"
@@ -156,7 +206,9 @@ class _SpmdRank:
                   else self.user_factors)
         rows = matrix[owned]
 
-        if options.hyper_mode == "gather":
+        if self.options.hyper_mode == "gather":
+            # Rank 0 rebuilds the full matrix in canonical order — bitwise
+            # what the sequential sampler sees — and shares the posterior.
             tag = _GATHER_BASE_TAG + _PHASE_TAGS[entity]
             if self.rank == 0:
                 n_items = (self.partition.n_movies if entity == "movies"
@@ -173,6 +225,8 @@ class _SpmdRank:
                            description=f"gather-{entity}")
                 posterior = _bcast_posterior(comm, None)
         else:
+            # Sufficient-statistics allreduce: (count, sum, sum of outer
+            # products) flattened into one vector per rank.
             k = config.num_latent
             stats = np.concatenate([
                 [float(rows.shape[0])],
@@ -192,8 +246,7 @@ class _SpmdRank:
     def run_phase(self, entity: str, prior: GaussianPrior,
                   noise: np.ndarray) -> None:
         """Update the owned block, then exchange refreshed rows."""
-        config, options = self.sampler.config, self.sampler.options
-        comm = self.comm
+        config, comm = self.config, self.comm
         tag = _PHASE_TAGS[entity]
         if entity == "movies":
             owned_of = self.partition.movies_of
@@ -207,8 +260,8 @@ class _SpmdRank:
             target, source = self.user_factors, self.movie_factors
 
         owned = np.asarray(owned_of(self.rank), dtype=np.int64)
-        self.items_updated += self.sampler._engine.update_items(
-            target, source, axis, prior, config.alpha, noise, items=owned)
+        self.engine.update_items(target, source, axis, prior, config.alpha,
+                                 noise, items=owned)
 
         with maybe_span("mpi.exchange", phase=entity, rank=self.rank):
             buffers: Dict[int, SendBuffer] = {}
@@ -218,13 +271,16 @@ class _SpmdRank:
                 comm.isend((ids, payload), dest=dest, tag=tag,
                            description=f"{entity}-update")
 
+            # Within a phase an item's conditional never reads same-class
+            # factors, so streaming the rows after the engine ran sends
+            # the values (and message pattern) of an interleaved loop.
             for item in owned:
                 item = int(item)
                 for dest in destinations[item]:
                     dest = int(dest)
                     if dest not in buffers:
                         buffers[dest] = SendBuffer(
-                            dest, options.buffer_capacity,
+                            dest, self.options.buffer_capacity,
                             config.num_latent, on_flush=flush)
                     buffers[dest].add(item, target[item])
             for buffer in buffers.values():
@@ -254,7 +310,7 @@ class _SpmdRank:
     def gather_state(self, user_prior: GaussianPrior,
                      movie_prior: GaussianPrior,
                      iteration: int) -> Optional[BPMFState]:
-        """Authoritative rows to rank 0 (mirrors ``_gather_state``)."""
+        """Authoritative rows to rank 0 (``None`` on the other ranks)."""
         comm = self.comm
         users = self.partition.users_of(self.rank)
         movies = self.partition.movies_of(self.rank)
@@ -263,7 +319,7 @@ class _SpmdRank:
                         self.movie_factors[movies]),
                        dest=0, tag=_EVAL_TAG, description="gather-eval")
             return None
-        k = self.sampler.config.num_latent
+        k = self.config.num_latent
         user_factors = np.zeros((self.partition.n_users, k))
         movie_factors = np.zeros((self.partition.n_movies, k))
         user_factors[users] = self.user_factors[users]
@@ -282,45 +338,206 @@ class _SpmdRank:
         )
 
 
-def run_local_socket_world(make_sampler, n_ranks: int, train: RatingMatrix,
-                           split: Optional[RatingSplit] = None,
-                           seed: SeedLike = 0,
-                           partition: Optional[Partition] = None,
-                           injectors=None,
-                           op_timeout: float = 120.0) -> List[Tuple]:
-    """Drive an ``n_ranks`` socket world on threads in this process.
+def _resolve_partition(train: RatingMatrix, options,
+                       partition: Optional[Partition]) -> Partition:
+    if partition is None:
+        return partition_ratings(train, options.n_ranks,
+                                 workload=options.workload,
+                                 reorder=options.reorder)
+    if partition.n_ranks != options.n_ranks:
+        raise ValidationError("partition rank count does not match options")
+    return partition
 
-    Real localhost TCP links, real framing, real receiver threads — only
-    the process boundary is elided.  ``make_sampler`` is a zero-argument
-    factory called once *per rank thread*: every rank needs its own
-    sampler because the update engine's cached bucket plans are not
-    shared across threads.  Returns the per-rank ``(result, info)``
-    pairs (result is ``None`` except on rank 0); the worlds are closed
-    before returning, and the first rank failure is re-raised.
 
-    Tests, the quickstart example and the bench ladder use this; real
-    deployments use one process per rank via ``python -m repro.mpi.net``.
+def run_spmd(sampler, world, train: RatingMatrix,
+             split: Optional[RatingSplit] = None, seed: SeedLike = 0,
+             partition: Optional[Partition] = None,
+             resume: Optional[ResumeLike] = None
+             ) -> Tuple[Optional[BPMFResult], "DistributedRunInfo"]:
+    """Run one rank of the distributed sampler over a comm world.
+
+    Every participating rank calls this with the *same* ``train``,
+    ``split``, ``seed``, options and ``resume`` flag (the SPMD contract:
+    partitioning and RNG replication both assume identical inputs; only
+    rank 0 reads the ``resume`` snapshot, the others just need to know
+    one is coming).  Rank 0 returns the full :class:`BPMFResult`; the
+    other ranks return ``None`` for the result — they hold only their
+    blocks.  Diagnostics come back on every rank, with traffic counted
+    from this rank's transport.
+
+    ``world`` is anything with the socket-world surface (``rank``,
+    ``n_ranks``, ``comm()`` — see :class:`repro.mpi.net.SocketCommWorld`).
+    The caller owns the world's lifetime; ``run_spmd`` leaves it open.
     """
-    import threading
+    from repro.distributed.sampler import DistributedRunInfo
+    from repro.serving.checkpoint import TrainingCheckpointer
 
+    config, options = sampler.config, sampler.options
+    comm = world.comm()
+    if world.n_ranks != options.n_ranks:
+        raise ValidationError(
+            f"world has {world.n_ranks} ranks but options.n_ranks is "
+            f"{options.n_ranks} — the partition would not match")
+
+    rng = as_generator(seed)
+    snapshot = checkpointer = predictor = None
+    if comm.rank == 0:
+        snapshot, state, rng = TrainingCheckpointer.open_resume(
+            resume, None, rng)
+        if state is None:
+            state = initialize_state(train, config, rng)
+        elif state.n_users != train.n_users \
+                or state.n_movies != train.n_movies:
+            raise ValidationError(
+                "snapshot shape does not match the rating matrix")
+        if split is not None and split.n_test > 0:
+            test_users, test_movies, test_values = split.test_triplets()
+        else:
+            test_users, test_movies, test_values = train.triplets()
+        predictor = PosteriorPredictor(
+            test_users, test_movies,
+            keep_samples=options.keep_sample_predictions)
+        checkpointer = TrainingCheckpointer(config, options.checkpoint,
+                                            snapshot, state, predictor)
+        start = checkpointer.start_iteration
+    elif resume is None:
+        state, start = initialize_state(train, config, rng), 0
+    else:
+        state, start = None, 0
+    if resume is not None:
+        state, rng, start = _bcast_resume_point(comm, state, rng, start)
+
+    partition = _resolve_partition(train, options, partition)
+    plan = build_comm_plan(train, partition)
+    engine = make_update_engine(options.engine,
+                                update_method=options.update_method,
+                                policy=options.policy,
+                                compute_dtype=options.compute_dtype,
+                                n_workers=options.n_workers)
+    rank_state = _SpmdRank(config, options, engine, comm, train, partition,
+                           plan, rng, state)
+    user_prior = GaussianPrior.standard(config.num_latent)
+    movie_prior = GaussianPrior.standard(config.num_latent)
+    gathered = state
+
+    # engine="shared" owns worker processes and shared-memory segments;
+    # the finally releases them even when a phase raises mid-run.
+    try:
+        for iteration in range(start, config.total_iterations):
+            with maybe_span("mpi.sweep", iteration=iteration,
+                            rank=comm.rank):
+                movie_prior = rank_state.sample_prior("movies", iteration)
+                movie_noise = rng.standard_normal((train.n_movies,
+                                                   config.num_latent))
+                rank_state.run_phase("movies", movie_prior, movie_noise)
+                user_prior = rank_state.sample_prior("users", iteration)
+                user_noise = rng.standard_normal((train.n_users,
+                                                  config.num_latent))
+                rank_state.run_phase("users", user_prior, user_noise)
+
+                gathered = rank_state.gather_state(user_prior, movie_prior,
+                                                   iteration + 1)
+                if checkpointer is not None:
+                    checkpointer.items_updated += (train.n_users
+                                                   + train.n_movies)
+                    sample_pred = gathered.predict(test_users, test_movies)
+                    if iteration >= config.burn_in:
+                        predictor.accumulate(gathered)
+                        mean_rmse = rmse(predictor.mean_prediction(),
+                                         test_values)
+                    else:
+                        mean_rmse = None
+                    checkpointer.record(iteration, gathered,
+                                        rmse(sample_pred, test_values),
+                                        mean_rmse)
+                    checkpointer.maybe_save(iteration, gathered, rng,
+                                            predictor)
+        # Everyone finishes before anyone tears its links down.
+        comm.barrier()
+    finally:
+        engine.close()
+
+    if world.pending_messages():
+        raise ValidationError(
+            f"rank {comm.rank} holds {world.pending_messages()} messages "
+            f"that were never received — the communication plan and the "
+            f"exchange loop are inconsistent")
+
+    result: Optional[BPMFResult] = None
+    if checkpointer is not None:
+        result = BPMFResult(
+            config=config,
+            state=gathered,
+            rmse_per_sample=checkpointer.rmse_per_sample,
+            rmse_running_mean=checkpointer.rmse_running_mean,
+            rmse_burn_in=checkpointer.rmse_burn_in,
+            predictions=predictor.mean_prediction(),
+            sample_predictions=(predictor.sample_matrix()
+                                if options.keep_sample_predictions else None),
+            items_updated=checkpointer.items_updated,
+            factor_means=(checkpointer.factor_means
+                          if checkpointer.factor_means.n_samples else None),
+        )
+    info = DistributedRunInfo(
+        partition=partition,
+        plan=plan,
+        buffer_stats=rank_state.buffer_stats,
+        n_messages=world.total_messages_sent(),
+        bytes_sent=float(world.total_bytes_sent()),
+        items_exchanged_per_iteration=plan.total_items_exchanged(),
+    )
+    return result, info
+
+
+def run_local_world(sampler, train: RatingMatrix,
+                    split: Optional[RatingSplit] = None, seed: SeedLike = 0,
+                    partition: Optional[Partition] = None,
+                    resume: Optional[ResumeLike] = None,
+                    injectors=None, op_timeout: Optional[float] = None
+                    ) -> Tuple[BPMFResult, "DistributedRunInfo"]:
+    """Host every rank of ``sampler`` on a thread of this process.
+
+    Each rank runs :func:`run_spmd` over its own endpoint of a localhost
+    socket world (:func:`repro.mpi.net.start_local_world`): real TCP
+    links, framing and receiver threads — only the process boundary is
+    elided.  Returns rank 0's result and the run's diagnostics with the
+    traffic (messages, bytes, buffer statistics) summed over the ranks.
+
+    ``injectors`` (one :class:`~repro.serving.chaos.plan.FaultInjector`
+    slot per rank) and ``op_timeout`` pass through to the world.  The
+    first rank to fail aborts its endpoint, so its peers fail within
+    milliseconds instead of waiting out ``op_timeout``; every rank
+    thread has ended and every endpoint is closed before that first
+    failure is re-raised here.
+    """
+    from repro.distributed.sampler import DistributedRunInfo
     from repro.mpi.net import start_local_world
+    from repro.mpi.net.world import DEFAULT_OP_TIMEOUT
 
-    worlds = start_local_world(n_ranks, injectors=injectors,
-                               op_timeout=op_timeout)
-    results: List[Optional[Tuple]] = [None] * n_ranks
-    errors: List[Optional[BaseException]] = [None] * n_ranks
+    options = sampler.options
+    n_ranks = options.n_ranks
+    partition = _resolve_partition(train, options, partition)
+    # Rank 0 draws from the caller's generator (advancing it as a
+    # sequential run would); the others replay copies taken before any
+    # draw, so a fresh-entropy seed still gives every rank one stream.
+    rng = as_generator(seed)
+    seeds = [rng] + [copy.deepcopy(rng) for _ in range(1, n_ranks)]
+    worlds = start_local_world(
+        n_ranks, injectors=injectors,
+        op_timeout=DEFAULT_OP_TIMEOUT if op_timeout is None else op_timeout)
+    outcomes: List[Optional[Tuple]] = [None] * n_ranks
+    failures: List[BaseException] = []  # in order of occurrence
 
     def drive(rank: int) -> None:
         try:
-            sampler = make_sampler()
-            results[rank] = sampler.run(train, split, seed=seed,
-                                        partition=partition,
-                                        comm_world=worlds[rank])
+            outcomes[rank] = run_spmd(sampler, worlds[rank], train, split,
+                                      seed=seeds[rank], partition=partition,
+                                      resume=resume)
         except BaseException as error:  # re-raised below
-            errors[rank] = error
+            failures.append(error)
             # A dead process drops its sockets; a dead thread must too,
             # so the peers fail fast instead of waiting out op_timeout.
-            worlds[rank].abort(f"rank {rank} failed: {error}")
+            worlds[rank].abort(f"rank {rank} failed: {error!r}")
 
     threads = [threading.Thread(target=drive, args=(rank,), daemon=True,
                                 name=f"repro-spmd-rank-{rank}")
@@ -333,128 +550,19 @@ def run_local_socket_world(make_sampler, n_ranks: int, train: RatingMatrix,
     finally:
         for world in worlds:
             world.close()
-    failures = [error for error in errors if error is not None]
     if failures:
+        # The first failure is the cause; the rest are peers seeing it.
         raise failures[0]
-    return results  # type: ignore[return-value]
 
-
-def run_spmd(sampler, world, train: RatingMatrix,
-             split: Optional[RatingSplit] = None, seed: SeedLike = 0,
-             partition: Optional[Partition] = None
-             ) -> Tuple[Optional[BPMFResult], "DistributedRunInfo"]:
-    """Run one rank of the distributed sampler over a real comm world.
-
-    Every participating process calls this with the *same* ``train``,
-    ``split``, ``seed`` and options (the SPMD contract: partitioning and
-    RNG replication both assume identical inputs).  Rank 0 returns the
-    full :class:`BPMFResult`; the other ranks return ``None`` for the
-    result — they hold only their blocks.  Diagnostics come back on
-    every rank, with traffic counted from this rank's transport.
-
-    ``world`` is anything with the socket-world surface (``rank``,
-    ``n_ranks``, ``comm()`` — see :class:`repro.mpi.net.SocketCommWorld`).
-    The caller owns the world's lifetime; ``run_spmd`` leaves it open.
-    """
-    from repro.distributed.sampler import DistributedRunInfo
-
-    config, options = sampler.config, sampler.options
-    if options.checkpoint is not None:
-        raise ValidationError(
-            "checkpointing is an orchestrated-run feature; run the "
-            "socket world without DistributedOptions.checkpoint")
-    comm = world.comm()
-    if world.n_ranks != options.n_ranks:
-        raise ValidationError(
-            f"world has {world.n_ranks} ranks but options.n_ranks is "
-            f"{options.n_ranks} — the partition would not match")
-
-    rng = as_generator(seed)
-    reference_state = initialize_state(train, config, rng)
-    if partition is None:
-        partition = partition_ratings(
-            train, options.n_ranks, workload=options.workload,
-            reorder=options.reorder)
-    elif partition.n_ranks != options.n_ranks:
-        raise ValidationError("partition rank count does not match options")
-    plan = build_comm_plan(train, partition)
-    rank_state = _SpmdRank(sampler, comm, train, partition, plan, rng,
-                           reference_state)
-
-    if split is not None and split.n_test > 0:
-        test_users, test_movies, test_values = split.test_triplets()
-    else:
-        test_users, test_movies, test_values = train.triplets()
-    predictor = PosteriorPredictor(
-        test_users, test_movies,
-        keep_samples=options.keep_sample_predictions)
-
-    rmse_burn_in: List[float] = []
-    rmse_per_sample: List[float] = []
-    rmse_running_mean: List[float] = []
-    items_updated_total = 0
-    user_prior = GaussianPrior.standard(config.num_latent)
-    movie_prior = GaussianPrior.standard(config.num_latent)
-    gathered: Optional[BPMFState] = None
-
-    try:
-        for iteration in range(config.total_iterations):
-            with maybe_span("mpi.sweep", iteration=iteration,
-                            rank=comm.rank):
-                movie_prior = rank_state.sample_prior("movies", iteration)
-                movie_noise = rng.standard_normal((train.n_movies,
-                                                   config.num_latent))
-                rank_state.run_phase("movies", movie_prior, movie_noise)
-                user_prior = rank_state.sample_prior("users", iteration)
-                user_noise = rng.standard_normal((train.n_users,
-                                                  config.num_latent))
-                rank_state.run_phase("users", user_prior, user_noise)
-
-                state = rank_state.gather_state(user_prior, movie_prior,
-                                                iteration + 1)
-                if comm.rank == 0:
-                    gathered = state
-                    sample_pred = gathered.predict(test_users, test_movies)
-                    if iteration >= config.burn_in:
-                        predictor.accumulate(gathered)
-                        rmse_per_sample.append(
-                            rmse(sample_pred, test_values))
-                        rmse_running_mean.append(
-                            rmse(predictor.mean_prediction(), test_values))
-                    else:
-                        rmse_burn_in.append(rmse(sample_pred, test_values))
-        # Everyone finishes before anyone tears its links down.
-        comm.barrier()
-    finally:
-        sampler._engine.close()
-
-    items_updated_total = rank_state.items_updated
-    if world.pending_messages():
-        raise ValidationError(
-            f"rank {comm.rank} holds {world.pending_messages()} messages "
-            f"that were never received — the communication plan and the "
-            f"exchange loop are inconsistent")
-
-    result: Optional[BPMFResult] = None
-    if comm.rank == 0:
-        result = BPMFResult(
-            config=config,
-            state=gathered,
-            rmse_per_sample=rmse_per_sample,
-            rmse_running_mean=rmse_running_mean,
-            rmse_burn_in=rmse_burn_in,
-            predictions=predictor.mean_prediction(),
-            sample_predictions=(predictor.sample_matrix()
-                                if options.keep_sample_predictions else None),
-            items_updated=items_updated_total,
-            factor_means=None,
-        )
-    info = DistributedRunInfo(
-        partition=partition,
-        plan=plan,
-        buffer_stats=rank_state.buffer_stats,
-        n_messages=world.total_messages_sent(),
-        bytes_sent=float(world.total_bytes_sent()),
-        items_exchanged_per_iteration=plan.total_items_exchanged(),
+    result, info = outcomes[0]
+    buffer_stats = BufferStats()
+    for _, rank_info in outcomes:
+        buffer_stats = buffer_stats.merge(rank_info.buffer_stats)
+    return result, DistributedRunInfo(
+        partition=info.partition,
+        plan=info.plan,
+        buffer_stats=buffer_stats,
+        n_messages=sum(rank_info.n_messages for _, rank_info in outcomes),
+        bytes_sent=sum(rank_info.bytes_sent for _, rank_info in outcomes),
+        items_exchanged_per_iteration=info.items_exchanged_per_iteration,
     )
-    return result, info

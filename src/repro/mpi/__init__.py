@@ -1,15 +1,19 @@
-"""Simulated message-passing substrate (the stand-in for MPI-3).
+"""Message-passing substrate (the stand-in for MPI-3).
 
-The execution environment has no MPI runtime and a single core, so the
-distributed experiments run on an in-process substrate with two layers:
+The execution environment has no MPI runtime, so the distributed
+experiments run on this package's own substrate:
 
-* **Functional layer** (:mod:`repro.mpi.simmpi`) — ``SimCommWorld`` gives
-  every simulated rank its own mailbox and the familiar ``Isend`` /
-  ``Irecv`` / ``Allreduce`` / ``Barrier`` verbs.  Ranks keep *separate
-  copies* of the factor matrices; an item only becomes visible on another
-  rank when a message carrying it is delivered.  This is what makes the
-  distributed sampler's correctness checkable: forget to send an item and
-  the result diverges from the sequential reference.
+* **Transport** (:mod:`repro.mpi.net`) — ``SocketCommWorld`` gives every
+  rank its own mailbox and the familiar ``Isend`` / ``Irecv`` /
+  ``Allreduce`` / ``Bcast`` / ``Barrier`` verbs over real TCP links, one
+  rank per OS process or per thread of one process.  Ranks keep
+  *separate copies* of the factor matrices; an item only becomes visible
+  on another rank when a message carrying it is delivered.  This is what
+  makes the distributed sampler's correctness checkable: forget to send
+  an item and the result diverges from the sequential reference.
+* **Verb-level reference** (:mod:`repro.mpi.simmpi`) — ``SimCommWorld``,
+  a single-threaded in-memory world with the same verbs; the socket
+  world's tests check its delivery order and reductions against it.
 * **Performance layer** (:mod:`repro.mpi.network`,
   :mod:`repro.mpi.trace`) — a cluster/network model (per-message overhead,
   link latency and bandwidth, rack topology with a shared inter-rack

@@ -11,9 +11,10 @@ Three entry modes:
 
 ``--spawn --world N``
     Spawn N rank processes of this same module on localhost, wait for
-    them, and — for the train program — verify the socket chain is
-    bit-identical to the orchestrated ``SimCommWorld`` reference
-    computed in-process.
+    them, and — for the train program — verify the multi-process chain
+    is bit-identical to its in-process reference: the sequential
+    ``GibbsSampler`` in gather mode, the thread-hosted distributed run
+    in stats mode.
 
 ``--smoke --world N [--out report.json]``
     The CI dist-smoke: three spawned phases — clean, benign faults
@@ -153,19 +154,23 @@ def _train_dataset(args):
         test_fraction=args.test_fraction, seed=args.data_seed))
 
 
-def _train_sampler(args, n_ranks: int):
+def _train_config(args):
     from repro.core.priors import BPMFConfig
+
+    return BPMFConfig(num_latent=args.num_latent, burn_in=args.burn_in,
+                      n_samples=args.n_samples, alpha=args.alpha)
+
+
+def _train_sampler(args, n_ranks: int):
     from repro.distributed.sampler import (
         DistributedGibbsSampler,
         DistributedOptions,
     )
 
-    config = BPMFConfig(num_latent=args.num_latent, burn_in=args.burn_in,
-                        n_samples=args.n_samples, alpha=args.alpha)
     options = DistributedOptions(n_ranks=n_ranks,
                                  hyper_mode=args.hyper_mode,
                                  buffer_capacity=args.buffer_capacity)
-    return DistributedGibbsSampler(config, options)
+    return DistributedGibbsSampler(_train_config(args), options)
 
 
 def _program_train(world: SocketCommWorld, args) -> Dict[str, object]:
@@ -287,16 +292,9 @@ def _spawn_ranks(args, workdir: Path, fault_mode: str,
             "--op-timeout", str(args.op_timeout),
         ]
         if args.program == "train":
-            command += [
-                "--users", str(args.users), "--movies", str(args.movies),
-                "--num-latent", str(args.num_latent),
-                "--burn-in", str(args.burn_in),
-                "--n-samples", str(args.n_samples),
-                "--hyper-mode", args.hyper_mode,
-                "--buffer-capacity", str(args.buffer_capacity),
-                "--seed", str(args.seed),
-                "--data-seed", str(args.data_seed),
-            ]
+            for key in TRAIN_DEFAULTS:
+                command += [f"--{key.replace('_', '-')}",
+                            str(getattr(args, key))]
             if rank == 0:
                 command += ["--out", str(workdir / "chain.npz")]
         if args.trace_dir:
@@ -327,10 +325,21 @@ def _spawn_ranks(args, workdir: Path, fault_mode: str,
 
 
 def _reference_chain(args) -> Dict[str, np.ndarray]:
-    """The orchestrated SimCommWorld chain for the same configuration."""
+    """The in-process chain the spawned ranks must reproduce bitwise.
+
+    Gather mode is the sequential sampler's chain; stats mode (whose
+    allreduce sums per rank first) is the same distributed run with its
+    ranks on threads of this process.
+    """
+    from repro.core.gibbs import GibbsSampler
+
     data = _train_dataset(args)
-    sampler = _train_sampler(args, args.world)
-    result, _ = sampler.run(data.split.train, data.split, seed=args.seed)
+    if args.hyper_mode == "gather":
+        result = GibbsSampler(_train_config(args)).run(
+            data.split.train, data.split, seed=args.seed)
+    else:
+        result, _ = _train_sampler(args, args.world).run(
+            data.split.train, data.split, seed=args.seed)
     return {
         "user_factors": result.state.user_factors,
         "movie_factors": result.state.movie_factors,
@@ -363,7 +372,9 @@ def run_spawn(args) -> int:
     if ok and args.program == "train":
         parity, fields = _check_parity(outcome["chain"],
                                        _reference_chain(args))
-        print(f"bit-parity vs SimCommWorld: {parity} {fields}")
+        reference = ("sequential" if args.hyper_mode == "gather"
+                     else "in-process")
+        print(f"bit-parity vs the {reference} chain: {parity} {fields}")
         ok = ok and parity
     print(f"exit codes: {outcome['exit_codes']}  "
           f"faults: {outcome['faults_triggered']}")

@@ -6,8 +6,8 @@ rank; :meth:`SocketCommWorld.connect` rendezvouses the ranks (everyone
 reports its data listener to rank 0, rank 0 replies with the address
 map) and builds a full TCP mesh — one framed, bidirectional link per
 rank pair.  :meth:`SocketCommWorld.comm` then hands back a
-:class:`SocketComm` with the verb surface the distributed samplers
-already speak against :class:`~repro.mpi.simmpi.SimComm`: tagged
+:class:`SocketComm` with the verb surface of
+:class:`~repro.mpi.simmpi.SimComm` (its verb-level reference): tagged
 non-blocking ``isend``/``irecv``, blocking ``recv``, ``iprobe`` with
 ``ANY_TAG``/``ANY_SOURCE``, ``allreduce``, ``bcast`` and ``barrier``.
 
@@ -16,7 +16,7 @@ Wire format is the serving frontend's frame codec
 ``mpi_msg`` frame with the binary array payload form, so factor blocks
 cross the wire as raw little-endian float64/int64 blocks — bit-exact by
 construction, which is what lets a socket-world training chain match the
-simulated world bit for bit.  JSON-only payload values round-trip
+sequential sampler bit for bit.  JSON-only payload values round-trip
 exactly too; the one wire artefact is that tuples come back as lists.
 
 **Deterministic matching.**  A real network delivers messages from
@@ -911,10 +911,11 @@ def start_local_world(
 
     Every rank gets its own :class:`SocketCommWorld` over real localhost
     TCP links — the full wire path (framing, binary payloads, receiver
-    threads, flush barriers) without spawning OS processes.  Tests, the
-    quickstart example and the bench ladder use this; the launcher
-    (``python -m repro.mpi.net``) builds the same mesh across real
-    processes.  Caller ranks must run on separate threads (the verbs
+    threads, flush barriers) without spawning OS processes.  The
+    distributed sampler's in-process host
+    (:func:`repro.distributed.spmd.run_local_world`) and the tests use
+    this; the launcher (``python -m repro.mpi.net``) builds the same mesh
+    across real processes.  Caller ranks must run on separate threads (the verbs
     block); each should close its world when done.
     """
     check_positive("n_ranks", n_ranks)

@@ -17,6 +17,7 @@ sweep.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -166,20 +167,28 @@ MAX_CACHED_PLANS = 128
 _PLAN_CACHE: "OrderedDict[Tuple[int, Optional[bytes], str], BucketPlan]" = \
     OrderedDict()
 _AXIS_FINALIZERS: dict = {}
+#: Guards every read-modify-write of the two tables above: the ranks of an
+#: in-process distributed run look plans up from concurrent threads, and an
+#: unguarded ``get`` then ``move_to_end`` races another thread's eviction.
+#: Re-entrant because an axis finalizer can fire (garbage collection) while
+#: its own thread holds the lock.
+_PLAN_CACHE_LOCK = threading.RLock()
 
 
 def _evict_axis_plans(axis_id: int) -> None:
-    _AXIS_FINALIZERS.pop(axis_id, None)
-    for key in [key for key in _PLAN_CACHE if key[0] == axis_id]:
-        del _PLAN_CACHE[key]
+    with _PLAN_CACHE_LOCK:
+        _AXIS_FINALIZERS.pop(axis_id, None)
+        for key in [key for key in _PLAN_CACHE if key[0] == axis_id]:
+            del _PLAN_CACHE[key]
 
 
 def clear_plan_cache() -> None:
     """Drop every cached plan (tests and memory-pressure escape hatch)."""
-    for finalizer in _AXIS_FINALIZERS.values():
-        finalizer.detach()
-    _AXIS_FINALIZERS.clear()
-    _PLAN_CACHE.clear()
+    with _PLAN_CACHE_LOCK:
+        for finalizer in _AXIS_FINALIZERS.values():
+            finalizer.detach()
+        _AXIS_FINALIZERS.clear()
+        _PLAN_CACHE.clear()
 
 
 def cached_bucket_plan(axis: CompressedAxis,
@@ -196,18 +205,19 @@ def cached_bucket_plan(axis: CompressedAxis,
     key = (id(axis),
            None if items is None else np.asarray(items, np.int64).tobytes(),
            np.dtype(value_dtype).str)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = build_bucket_plan(axis, items, value_dtype=value_dtype)
-        while len(_PLAN_CACHE) >= MAX_CACHED_PLANS:
-            _PLAN_CACHE.popitem(last=False)
-        if id(axis) not in _AXIS_FINALIZERS:
-            _AXIS_FINALIZERS[id(axis)] = weakref.finalize(
-                axis, _evict_axis_plans, id(axis))
-        _PLAN_CACHE[key] = plan
-    else:
-        # Refresh recency so the eviction above is LRU, not FIFO.
-        _PLAN_CACHE.move_to_end(key)
+    with _PLAN_CACHE_LOCK:
+        plan = _PLAN_CACHE.get(key)
+        if plan is None:
+            plan = build_bucket_plan(axis, items, value_dtype=value_dtype)
+            while len(_PLAN_CACHE) >= MAX_CACHED_PLANS:
+                _PLAN_CACHE.popitem(last=False)
+            if id(axis) not in _AXIS_FINALIZERS:
+                _AXIS_FINALIZERS[id(axis)] = weakref.finalize(
+                    axis, _evict_axis_plans, id(axis))
+            _PLAN_CACHE[key] = plan
+        else:
+            # Refresh recency so the eviction above is LRU, not FIFO.
+            _PLAN_CACHE.move_to_end(key)
     return plan
 
 

@@ -15,9 +15,20 @@ details (and therefore the exact chain) should re-record the golden
 trajectory with ``python -m tests.test_golden_regression`` semantics —
 rerun the recipe in ``_run()`` — and justify the change in its PR; the
 statistical band should survive any correct refactor unchanged.
+
+The distributed sampler is pinned twice: in ``"gather"`` mode its chain
+*is* the sequential one (bitwise), and in ``"stats"`` mode — hyperprior
+posteriors from allreduced sufficient statistics — it follows its own
+recorded trajectory (``GOLDEN_STATS_*``, rerun the recipe in
+``_run_stats()``), in one process and across four.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +51,24 @@ GOLDEN_RUNNING_MEAN = np.array([
     0.6053203634, 0.6037503919, 0.5958084709, 0.5954318364, 0.5957950538,
     0.5978225044, 0.5909415635, 0.5891169625, 0.5848709809, 0.5771773674,
 ])
+
+#: The 4-rank, ``buffer_capacity=16`` stats-mode distributed chain at the
+#: seed above, recorded in full precision (it differs from the sequential
+#: trajectory only in the last bits: the allreduce sums per rank first).
+STATS_OPTIONS = dict(n_ranks=4, hyper_mode="stats", buffer_capacity=16)
+GOLDEN_STATS_BURN_IN = np.array([
+    0.7118454019537616, 0.7001605852466091, 0.7499116034078902,
+    0.68006006797982, 0.6834076629854867,
+])
+GOLDEN_STATS_RUNNING_MEAN = np.array([
+    0.67496445894172, 0.6342491495027323, 0.6160116379264898,
+    0.6189568682248121, 0.6160862522778928, 0.6053203634415638,
+    0.603750391942221, 0.5958084709372309, 0.5954318363661639,
+    0.595795053765783, 0.5978225044326946, 0.5909415635066911,
+    0.5891169624882227, 0.5848709809071245, 0.5771773673746665,
+])
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Exact layer: pins the chain (same platform/BLAS reproduces ~1e-12).
 EXACT_ATOL = 1e-6
@@ -82,30 +111,38 @@ def test_rmse_trajectory_statistics(dataset, engine):
     assert result.final_rmse < 2.0 * DATASET.noise_std
 
 
-def test_socket_world_reproduces_the_golden_chain(dataset):
-    """A 4-rank socket-world (real TCP links) run of the distributed
-    sampler lands on the very same golden chain — and bit-identically on
-    the orchestrated ``SimCommWorld`` chain, exact ties included."""
+def _run_stats(dataset):
     from repro.distributed.sampler import (
         DistributedGibbsSampler,
         DistributedOptions,
     )
-    from repro.distributed.spmd import run_local_socket_world
+
+    result, _ = DistributedGibbsSampler(
+        BPMFConfig(**CONFIG), DistributedOptions(**STATS_OPTIONS)).run(
+        dataset.split.train, dataset.split, seed=SEED)
+    return result
+
+
+def test_socket_world_reproduces_the_golden_chain(dataset):
+    """A 4-rank socket-world (real TCP links) run of the distributed
+    sampler in gather mode lands on the very same golden chain — and
+    bit-identically on the sequential chain, exact ties included."""
+    from repro.distributed.sampler import (
+        DistributedGibbsSampler,
+        DistributedOptions,
+    )
 
     opts = dict(n_ranks=4, hyper_mode="gather", buffer_capacity=16)
-    reference, _ = DistributedGibbsSampler(
+    reference = GibbsSampler(BPMFConfig(**CONFIG)).run(
+        dataset.split.train, dataset.split, seed=SEED)
+    result, _info = DistributedGibbsSampler(
         BPMFConfig(**CONFIG), DistributedOptions(**opts)).run(
         dataset.split.train, dataset.split, seed=SEED)
-    outcomes = run_local_socket_world(
-        lambda: DistributedGibbsSampler(BPMFConfig(**CONFIG),
-                                        DistributedOptions(**opts)),
-        4, dataset.split.train, dataset.split, seed=SEED)
-    result, _info = outcomes[0]
     np.testing.assert_allclose(result.rmse_burn_in, GOLDEN_BURN_IN,
                                atol=EXACT_ATOL)
     np.testing.assert_allclose(result.rmse_running_mean, GOLDEN_RUNNING_MEAN,
                                atol=EXACT_ATOL)
-    # Bitwise against the simulated world, not just within tolerance.
+    # Bitwise against the sequential sampler, not just within tolerance.
     assert result.rmse_running_mean == reference.rmse_running_mean
     assert np.array_equal(result.state.user_factors,
                           reference.state.user_factors)
@@ -121,3 +158,53 @@ def test_engines_agree_on_the_full_golden_run(dataset):
     np.testing.assert_allclose(bat.rmse_running_mean, ref.rmse_running_mean,
                                atol=EXACT_ATOL)
     np.testing.assert_allclose(bat.predictions, ref.predictions, atol=1e-4)
+
+
+def test_stats_mode_in_process_run_matches_stats_golden(dataset):
+    """The thread-hosted 4-rank stats-mode chain keeps its trajectory."""
+    result = _run_stats(dataset)
+    np.testing.assert_allclose(result.rmse_burn_in, GOLDEN_STATS_BURN_IN,
+                               atol=EXACT_ATOL)
+    np.testing.assert_allclose(result.rmse_running_mean,
+                               GOLDEN_STATS_RUNNING_MEAN, atol=EXACT_ATOL)
+
+
+def test_stats_mode_multiprocess_run_matches_stats_golden(dataset, tmp_path):
+    """Four OS processes (one rank each, ``python -m repro.mpi.net``)
+    reproduce the stats golden — bitwise equal to the in-process run."""
+    from repro.mpi.net import free_port
+
+    port = free_port()
+    chain = tmp_path / "chain.npz"
+    args = ["--world", "4", "--rendezvous", f"127.0.0.1:{port}",
+            "--program", "train", "--hyper-mode", "stats",
+            "--buffer-capacity", str(STATS_OPTIONS["buffer_capacity"]),
+            "--users", str(DATASET.n_users), "--movies", str(DATASET.n_movies),
+            "--data-rank", str(DATASET.rank),
+            "--density", str(DATASET.density),
+            "--noise-std", str(DATASET.noise_std),
+            "--test-fraction", str(DATASET.test_fraction),
+            "--data-seed", str(DATASET.seed),
+            "--num-latent", str(CONFIG["num_latent"]),
+            "--burn-in", str(CONFIG["burn_in"]),
+            "--n-samples", str(CONFIG["n_samples"]),
+            "--alpha", str(CONFIG["alpha"]), "--seed", str(SEED)]
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    processes = [subprocess.Popen(
+        [sys.executable, "-m", "repro.mpi.net", "--rank", str(rank), *args]
+        + (["--out", str(chain)] if rank == 0 else []),
+        cwd=REPO_ROOT, env=env) for rank in range(4)]
+    assert [process.wait(timeout=240) for process in processes] == [0] * 4
+
+    in_process = _run_stats(dataset)
+    with np.load(chain) as saved:
+        np.testing.assert_allclose(saved["rmse_burn_in"],
+                                   GOLDEN_STATS_BURN_IN, atol=EXACT_ATOL)
+        np.testing.assert_allclose(saved["rmse_running_mean"],
+                                   GOLDEN_STATS_RUNNING_MEAN, atol=EXACT_ATOL)
+        assert np.array_equal(saved["rmse_running_mean"],
+                              np.asarray(in_process.rmse_running_mean))
+        assert np.array_equal(saved["user_factors"],
+                              in_process.state.user_factors)
+        assert np.array_equal(saved["movie_factors"],
+                              in_process.state.movie_factors)

@@ -1,10 +1,12 @@
 """Socket-backed MPI world: verbs, SPMD training parity, chaos, obs.
 
-The acceptance bar for ``repro.mpi.net`` is *bit-parity*: a socket-world
-run of the distributed sampler must reproduce the orchestrated
-``SimCommWorld`` chain exactly — factors, RMSE trajectory, predictions,
-ties included.  Everything here runs over real localhost TCP links; the
-final test crosses real process boundaries via the launcher.
+The acceptance bar for ``repro.mpi.net`` is *bit-parity*: in gather mode
+a socket-world run of the distributed sampler must reproduce the
+sequential ``GibbsSampler`` chain exactly — factors, RMSE trajectory,
+predictions, ties included — and in stats mode a run over per-process
+worlds must reproduce the in-process (thread-hosted) run.  Everything
+here runs over real localhost TCP links; the subprocess test crosses
+real process boundaries via the launcher.
 """
 
 from __future__ import annotations
@@ -13,17 +15,19 @@ import json
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.gibbs import GibbsSampler
 from repro.core.priors import BPMFConfig
 from repro.distributed.sampler import (
     DistributedGibbsSampler,
     DistributedOptions,
 )
-from repro.distributed.spmd import run_local_socket_world
+from repro.distributed.spmd import run_local_world
 from repro.mpi.net import (
     ANY_SOURCE,
     ANY_TAG,
@@ -229,18 +233,50 @@ def _config():
     return BPMFConfig(num_latent=3, burn_in=2, n_samples=3, alpha=4.0)
 
 
-def _run_pair(tiny_dataset, n_ranks, hyper_mode, injectors=None):
-    """(orchestrated result, socket-world rank-0 result) for one setup."""
-    opts = dict(n_ranks=n_ranks, hyper_mode=hyper_mode, buffer_capacity=8)
-    reference, ref_info = DistributedGibbsSampler(
-        _config(), DistributedOptions(**opts)).run(
+def _sampler(n_ranks, hyper_mode, **options):
+    return DistributedGibbsSampler(_config(), DistributedOptions(
+        n_ranks=n_ranks, hyper_mode=hyper_mode, buffer_capacity=8,
+        **options))
+
+
+def _reference(tiny_dataset, n_ranks, hyper_mode):
+    """The chain a socket run must match bit for bit: the sequential
+    sampler in gather mode, the in-process (thread-hosted) run in stats
+    mode."""
+    if hyper_mode == "gather":
+        return GibbsSampler(_config()).run(
+            tiny_dataset.split.train, tiny_dataset.split, seed=11)
+    result, _ = _sampler(n_ranks, hyper_mode).run(
         tiny_dataset.split.train, tiny_dataset.split, seed=11)
-    outcomes = run_local_socket_world(
-        lambda: DistributedGibbsSampler(_config(),
-                                        DistributedOptions(**opts)),
-        n_ranks, tiny_dataset.split.train, tiny_dataset.split, seed=11,
-        injectors=injectors)
-    return reference, ref_info, outcomes
+    return result
+
+
+def _run_per_process(tiny_dataset, n_ranks, hyper_mode, run_kwargs=None):
+    """Per-rank ``(result, info)`` over per-process socket worlds, one
+    caller thread per rank (the SPMD form a multi-process launch runs);
+    ``run_kwargs`` maps a rank to extra ``run()`` arguments."""
+    run_kwargs = run_kwargs or {}
+    worlds = start_local_world(n_ranks, op_timeout=30.0)
+    try:
+        return run_on_ranks(worlds, lambda rank, comm: _sampler(
+            n_ranks, hyper_mode).run(
+            tiny_dataset.split.train, tiny_dataset.split, seed=11,
+            comm_world=worlds[rank], **run_kwargs.get(rank, {})))
+    finally:
+        for world in worlds:
+            world.close()
+
+
+def assert_same_chain(result, reference):
+    """Bitwise equality — exact ties included, not allclose."""
+    assert np.array_equal(result.state.user_factors,
+                          reference.state.user_factors)
+    assert np.array_equal(result.state.movie_factors,
+                          reference.state.movie_factors)
+    assert result.rmse_burn_in == reference.rmse_burn_in
+    assert result.rmse_per_sample == reference.rmse_per_sample
+    assert result.rmse_running_mean == reference.rmse_running_mean
+    assert np.array_equal(result.predictions, reference.predictions)
 
 
 class TestTrainingParity:
@@ -248,18 +284,11 @@ class TestTrainingParity:
     @pytest.mark.parametrize("n_ranks", [2, 4])
     def test_socket_chain_bit_identical(self, tiny_dataset, n_ranks,
                                         hyper_mode):
-        reference, _, outcomes = _run_pair(tiny_dataset, n_ranks, hyper_mode)
+        reference = _reference(tiny_dataset, n_ranks, hyper_mode)
+        outcomes = _run_per_process(tiny_dataset, n_ranks, hyper_mode)
         result, info = outcomes[0]
         assert result is not None
-        # Bitwise equality — exact ties included, not allclose.
-        assert np.array_equal(result.state.user_factors,
-                              reference.state.user_factors)
-        assert np.array_equal(result.state.movie_factors,
-                              reference.state.movie_factors)
-        assert result.rmse_burn_in == reference.rmse_burn_in
-        assert result.rmse_per_sample == reference.rmse_per_sample
-        assert result.rmse_running_mean == reference.rmse_running_mean
-        assert np.array_equal(result.predictions, reference.predictions)
+        assert_same_chain(result, reference)
         # Non-root ranks hold only their blocks.
         assert all(outcomes[rank][0] is None for rank in range(1, n_ranks))
         # Traffic flowed over real sockets.
@@ -267,7 +296,8 @@ class TestTrainingParity:
 
     def test_four_rank_subprocess_chain_bit_identical(self, tmp_path):
         """The full acceptance criterion: 4 real OS processes, one rank
-        each, rendezvous + mesh over TCP — bit-identical to SimCommWorld."""
+        each, rendezvous + mesh over TCP — bit-identical to the
+        sequential sampler."""
         sizes = dict(users=40, movies=30, num_latent=3, burn_in=2,
                      n_samples=2, seed=11, data_seed=321)
         port = free_port()
@@ -305,10 +335,8 @@ class TestTrainingParity:
         config = BPMFConfig(num_latent=sizes["num_latent"],
                             burn_in=sizes["burn_in"],
                             n_samples=sizes["n_samples"], alpha=4.0)
-        reference, _ = DistributedGibbsSampler(
-            config, DistributedOptions(n_ranks=4, hyper_mode="gather",
-                                       buffer_capacity=16)).run(
-            data.split.train, data.split, seed=sizes["seed"])
+        reference = GibbsSampler(config).run(data.split.train, data.split,
+                                             seed=sizes["seed"])
         with np.load(chain) as saved:
             assert np.array_equal(saved["user_factors"],
                                   reference.state.user_factors)
@@ -319,21 +347,38 @@ class TestTrainingParity:
             assert np.array_equal(saved["predictions"],
                                   reference.predictions)
 
-    def test_spmd_rejects_checkpoint_and_resume(self, tiny_dataset):
+    def test_spmd_checkpoint_resume_is_bit_identical(self, tiny_dataset,
+                                                     tmp_path):
+        """A 2-rank socket chain checkpointed by rank 0 at sweep 3 and
+        resumed over a fresh world matches the uninterrupted chain; only
+        rank 0 ever reads the snapshot."""
         from repro.serving.checkpoint import CheckpointConfig
 
-        worlds = start_local_world(1)
+        path = tmp_path / "spmd.npz"
+        half = BPMFConfig(num_latent=3, burn_in=2, n_samples=1, alpha=4.0)
+        worlds = start_local_world(2, op_timeout=30.0)
         try:
-            sampler = DistributedGibbsSampler(
-                _config(), DistributedOptions(
-                    n_ranks=1,
-                    checkpoint=CheckpointConfig(path="/tmp/x.npz")))
-            with pytest.raises(ValidationError):
-                sampler.run(tiny_dataset.split.train, tiny_dataset.split,
-                            comm_world=worlds[0])
+            run_on_ranks(worlds, lambda rank, comm: DistributedGibbsSampler(
+                half, DistributedOptions(
+                    n_ranks=2, hyper_mode="gather", buffer_capacity=8,
+                    checkpoint=CheckpointConfig(path=path))).run(
+                tiny_dataset.split.train, tiny_dataset.split, seed=11,
+                comm_world=worlds[rank]))
         finally:
             for world in worlds:
                 world.close()
+        assert path.exists()
+        # Rank 1's resume argument names a file that does not exist.
+        outcomes = _run_per_process(
+            tiny_dataset, 2, "gather",
+            {0: {"resume": path}, 1: {"resume": tmp_path / "absent.npz"}})
+        resumed, _ = outcomes[0]
+        full = GibbsSampler(_config()).run(tiny_dataset.split.train,
+                                           tiny_dataset.split, seed=11)
+        assert_same_chain(resumed, full)
+        assert resumed.items_updated == full.items_updated
+        np.testing.assert_array_equal(resumed.factor_means.user_sum,
+                                      full.factor_means.user_sum)
 
     def test_world_rank_count_must_match_options(self, tiny_dataset):
         worlds = start_local_world(2)
@@ -347,19 +392,13 @@ class TestTrainingParity:
             for world in worlds:
                 world.close()
 
-    def test_orchestrated_run_accepts_external_simworld(self, tiny_dataset):
+    def test_simulated_world_is_rejected(self, tiny_dataset):
         from repro.mpi.simmpi import SimCommWorld
 
-        opts = DistributedOptions(n_ranks=2, hyper_mode="gather")
-        world = SimCommWorld(2)
-        result, _ = DistributedGibbsSampler(_config(), opts).run(
-            tiny_dataset.split.train, tiny_dataset.split, seed=11,
-            comm_world=world)
-        reference, _ = DistributedGibbsSampler(_config(), opts).run(
-            tiny_dataset.split.train, tiny_dataset.split, seed=11)
-        assert np.array_equal(result.state.user_factors,
-                              reference.state.user_factors)
-        assert len(world.message_log) > 0
+        with pytest.raises(ValidationError, match="SimCommWorld"):
+            _sampler(2, "gather").run(
+                tiny_dataset.split.train, tiny_dataset.split, seed=11,
+                comm_world=SimCommWorld(2))
 
 
 # ---------------------------------------------------------------------------
@@ -377,27 +416,28 @@ class TestChaos:
                                      action="delay", arg=0.002))
         injectors = [FaultInjector(FaultPlan(seed=1, events=list(events)))
                      for _ in range(2)]
-        reference, _, outcomes = _run_pair(tiny_dataset, 2, "gather",
-                                           injectors=injectors)
-        result, _ = outcomes[0]
-        assert np.array_equal(result.state.user_factors,
-                              reference.state.user_factors)
-        assert result.rmse_running_mean == reference.rmse_running_mean
+        result, _ = run_local_world(_sampler(2, "gather"),
+                                    tiny_dataset.split.train,
+                                    tiny_dataset.split, seed=11,
+                                    injectors=injectors)
+        assert_same_chain(result, _reference(tiny_dataset, 2, "gather"))
         assert any(injector.log for injector in injectors)
 
     def test_injected_reset_fails_fast(self, tiny_dataset):
         """A reset mid-run kills the world with MpiTransportError —
-        bounded time, no hang."""
+        well under the op timeout, with no rank thread left running."""
         lethal = FaultPlan(seed=2, events=[
             FaultEvent(site="net.recv", step=8, action="reset")])
         injectors = [None, FaultInjector(lethal)]
-        opts = dict(n_ranks=2, hyper_mode="gather", buffer_capacity=8)
+        op_timeout = 30.0
+        started = time.monotonic()
         with pytest.raises(MpiTransportError):
-            run_local_socket_world(
-                lambda: DistributedGibbsSampler(
-                    _config(), DistributedOptions(**opts)),
-                2, tiny_dataset.split.train, tiny_dataset.split, seed=11,
-                injectors=injectors, op_timeout=30.0)
+            run_local_world(_sampler(2, "gather"), tiny_dataset.split.train,
+                            tiny_dataset.split, seed=11,
+                            injectors=injectors, op_timeout=op_timeout)
+        assert time.monotonic() - started < op_timeout / 6
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name.startswith("repro-spmd-rank")]
 
     def test_connect_fault_site_is_checked(self):
         plan = FaultPlan(seed=3, events=[

@@ -235,3 +235,48 @@ class TestRatingMatrixPermute:
         rebuilt = RatingMatrix.from_arrays(4, 3, users, movies, values)
         np.testing.assert_allclose(np.nan_to_num(rebuilt.to_dense()),
                                    np.nan_to_num(simple_ratings.to_dense()))
+
+
+class TestBucketPlanCacheThreads:
+    def test_concurrent_lookups_survive_lru_eviction(self, monkeypatch):
+        """Rank threads share the plan cache: a lookup's recency refresh
+        must never race another thread's eviction of the same key."""
+        import sys
+        import threading
+
+        from repro.sparse import buckets
+
+        rng = np.random.default_rng(0)
+        dense = np.where(rng.random((30, 12)) < 0.4,
+                         rng.normal(size=(30, 12)), np.nan)
+        axis = RatingMatrix.from_dense(dense).by_user
+        subsets = [np.arange(start, start + 3) for start in range(0, 24, 3)]
+        buckets.clear_plan_cache()
+        # A cache smaller than the working set evicts on almost every miss.
+        monkeypatch.setattr(buckets, "MAX_CACHED_PLANS", 2)
+        errors = []
+
+        def hammer(seed: int) -> None:
+            picks = np.random.default_rng(seed).integers(len(subsets),
+                                                         size=1500)
+            try:
+                for pick in picks:
+                    plan = buckets.cached_bucket_plan(axis, subsets[pick])
+                    assert plan.n_planned_items == 3
+            except BaseException as error:  # reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads aggressively
+        try:
+            threads = [threading.Thread(target=hammer, args=(seed,))
+                       for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            buckets.clear_plan_cache()
+        assert not errors, errors[:1]
+        assert all(not thread.is_alive() for thread in threads)
