@@ -19,12 +19,13 @@ True
 
 Package map
 -----------
-``repro.core``          the BPMF Gibbs sampler and its update kernels
+``repro.core``          the BPMF Gibbs sampler (sequential or threaded) and its
+                        update kernels
 ``repro.sparse``        sparse rating-matrix substrate
 ``repro.datasets``      synthetic ChEMBL-like / MovieLens-like workloads
 ``repro.baselines``     ALS and SGD matrix factorization
 ``repro.parallel``      simulated multicore machine + schedulers
-``repro.multicore``     shared-memory parallel BPMF (Figure 3)
+``repro.multicore``     the Figure 3 thread-scaling study on simulated schedulers
 ``repro.mpi``           simulated MPI world, network model, tracing
 ``repro.distributed``   distributed BPMF and the strong-scaling model (Figures 4-5)
 ``repro.serving``       posterior snapshots, exact resume, online serving
@@ -58,7 +59,7 @@ from repro.distributed import (
     DistributedOptions,
     strong_scaling_study,
 )
-from repro.multicore import MulticoreGibbsSampler, MulticoreOptions, multicore_thread_sweep
+from repro.multicore import multicore_thread_sweep
 from repro.serving import (
     CheckpointConfig,
     PredictionService,
@@ -97,8 +98,6 @@ __all__ = [
     "DistributedGibbsSampler",
     "DistributedOptions",
     "strong_scaling_study",
-    "MulticoreGibbsSampler",
-    "MulticoreOptions",
     "multicore_thread_sweep",
     "CheckpointConfig",
     "PredictionService",

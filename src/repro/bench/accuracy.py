@@ -2,11 +2,12 @@
 
 Section V-B of the paper states that every parallel implementation of BPMF
 reaches the same test RMSE as the others.  This driver runs the sequential
-reference, the multicore sampler and the distributed sampler (in both the
-exact-parity "gather" mode and the production "stats" mode) on the same
-dataset with the same random seed and reports their RMSE traces, the
-pairwise final-RMSE differences and whether the factor matrices are
-bit-for-bit identical where that is expected.
+reference, the threaded sampler (2 threads) and the distributed sampler
+(in both the exact-parity "gather" mode and the production "stats" mode)
+on the same dataset with the same random seed and reports their RMSE
+traces, the pairwise final-RMSE differences and whether the factor
+matrices are bit-for-bit identical (``np.array_equal``) to the
+sequential chain.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.gibbs import BPMFResult, GibbsSampler
+from repro.core.gibbs import BPMFResult, GibbsSampler, SamplerOptions
 from repro.core.priors import BPMFConfig
 from repro.datasets.synthetic import SyntheticConfig, make_low_rank_dataset
 from repro.distributed.sampler import DistributedGibbsSampler, DistributedOptions
-from repro.multicore.sampler import MulticoreGibbsSampler
 from repro.sparse.split import RatingSplit
 from repro.sparse.csr import RatingMatrix
 from repro.utils.tables import Table
@@ -79,7 +79,8 @@ def run_accuracy_parity(
 
     results: Dict[str, BPMFResult] = {}
     results["sequential"] = GibbsSampler(config).run(train, split, seed=seed)
-    results["multicore"] = MulticoreGibbsSampler(config).run(train, split, seed=seed)
+    results["multicore"] = GibbsSampler(
+        config, SamplerOptions(n_workers=2)).run(train, split, seed=seed)
     dist_exact, _ = DistributedGibbsSampler(
         config, DistributedOptions(n_ranks=n_ranks, hyper_mode="gather")
     ).run(train, split, seed=seed)
@@ -91,8 +92,10 @@ def run_accuracy_parity(
 
     reference = results["sequential"].state
     exact_match = {
-        name: bool(np.allclose(result.state.user_factors, reference.user_factors)
-                   and np.allclose(result.state.movie_factors, reference.movie_factors))
+        name: bool(np.array_equal(result.state.user_factors,
+                                  reference.user_factors)
+                   and np.array_equal(result.state.movie_factors,
+                                      reference.movie_factors))
         for name, result in results.items()
     }
     return AccuracyParityResult(results=results, exact_match=exact_match)

@@ -60,8 +60,9 @@ __all__ = [
 #: reference chain.
 COMPUTE_DTYPES = ("float64", "float32")
 
-#: ``parallel_map(func, items)`` calls ``func(item)`` for every item; the
-#: multicore sampler passes its thread backend's ``map_items`` here.
+#: ``parallel_map(func, items)`` calls ``func(item)`` for every item; a
+#: sampler with ``n_workers`` threads passes its thread backend's
+#: ``map_items`` here (see :func:`repro.core.gibbs.make_phase_engine`).
 ParallelMap = Callable[[Callable[[int], None], Sequence[int]], object]
 
 

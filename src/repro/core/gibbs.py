@@ -1,30 +1,43 @@
-"""The sequential BPMF Gibbs sampler (Algorithm 1 of the paper).
+"""The in-process BPMF Gibbs sampler (Algorithm 1 of the paper).
 
-This is the reference implementation every parallel variant is validated
-against.  One sweep:
+Run sequentially, it is the reference implementation every parallel
+variant is validated against.  One sweep:
 
 1. resample the movie hyperparameters from ``V``;
 2. update every movie's factor from the users that rated it;
 3. resample the user hyperparameters from ``U``;
 4. update every user's factor from the movies they rated;
 5. predict all test points and record RMSE (per-sample and posterior-mean).
+
+With ``SamplerOptions(n_workers=k)`` the same sampler is the paper's
+shared-memory variant: a phase's items are independent, so they run on
+``k`` threads and still sample the sequential chain bit for bit.
+:class:`ChainRun`, the bookkeeping around the sweeps, is shared with rank
+0 of the distributed program (:func:`repro.distributed.spmd.run_spmd`).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.batch_engine import UpdateEngine, make_update_engine
+from repro.core.batch_engine import (
+    BatchedUpdateEngine,
+    ParallelMap,
+    UpdateEngine,
+    make_update_engine,
+)
 from repro.core.metrics import rmse
 from repro.core.predict import FactorMeanAccumulator, PosteriorPredictor
 from repro.core.priors import BPMFConfig
+from repro.core.shared_engine import SharedMemoryUpdateEngine
 from repro.core.state import BPMFState, initialize_state
 from repro.core.updates import HybridUpdatePolicy, UpdateMethod
 from repro.core.wishart import sample_hyperparameters
+from repro.parallel.thread_backend import ThreadPoolBackend
 from repro.sparse.csr import RatingMatrix
 from repro.sparse.split import RatingSplit
 from repro.utils.logging import get_logger
@@ -34,12 +47,17 @@ from repro.utils.validation import ValidationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> core)
     from repro.serving.checkpoint import CheckpointConfig, Snapshot
 
-__all__ = ["SamplerOptions", "BPMFResult", "GibbsSampler"]
+__all__ = ["SamplerOptions", "BPMFResult", "ChainRun", "GibbsSampler",
+           "make_phase_engine"]
 
 #: A resume source: an in-memory snapshot or a path to a saved one.
 ResumeLike = Union["Snapshot", str, "os.PathLike"]
 
 logger = get_logger("core.gibbs")
+
+#: Items per thread task for the reference engine, whose unit of work (one
+#: item) is too small to submit alone; the batched engine submits buckets.
+REFERENCE_CHUNK = 64
 
 
 @dataclass
@@ -69,8 +87,19 @@ class SamplerOptions:
 
     ``compute_dtype`` selects the kernel precision of the batched/shared
     engines (``"float32"`` trades exact parity for halved memory
-    bandwidth); ``n_workers`` sizes the shared engine's process pool and
-    is rejected for engines that cannot use it.
+    bandwidth).
+
+    ``n_workers`` sets the parallelism of a phase, per engine:
+
+    * ``"shared"`` — the size of its process pool (``None``: one worker
+      per CPU);
+    * ``"batched"`` — the number of threads its degree buckets are mapped
+      over, one bucket per task;
+    * ``"reference"`` — the number of threads its items are mapped over,
+      in chunks of :data:`REFERENCE_CHUNK` items.
+
+    ``None`` runs an in-process engine on the calling thread, with no
+    pool.  Any thread count samples the same chain bit for bit.
 
     ``checkpoint`` (a :class:`repro.serving.checkpoint.CheckpointConfig`)
     enables save-every-k-sweeps posterior snapshots; a run resumed from one
@@ -87,12 +116,25 @@ class SamplerOptions:
     callback: Optional[Callable[["BPMFState", int], None]] = None
     checkpoint: Optional["CheckpointConfig"] = None
 
-    def make_engine(self) -> UpdateEngine:
-        """Build the configured :class:`UpdateEngine` instance."""
-        return make_update_engine(self.engine, update_method=self.update_method,
-                                  policy=self.policy,
-                                  compute_dtype=self.compute_dtype,
-                                  n_workers=self.n_workers)
+
+def make_phase_engine(options) -> Tuple[UpdateEngine, Optional[ParallelMap]]:
+    """The update engine ``options`` select, and the thread map it runs on.
+
+    ``options`` is a :class:`SamplerOptions` or a
+    :class:`repro.distributed.sampler.DistributedOptions`; both carry the
+    engine fields, and ``n_workers`` means the same on both (see
+    :class:`SamplerOptions`).  The map is ``None`` when the phase runs on
+    the calling thread or the engine schedules its own processes.
+    """
+    processes = options.engine == SharedMemoryUpdateEngine.name
+    engine = make_update_engine(
+        options.engine, update_method=options.update_method,
+        policy=options.policy, compute_dtype=options.compute_dtype,
+        n_workers=options.n_workers if processes else None)
+    if processes or options.n_workers is None:
+        return engine, None
+    chunk = 1 if isinstance(engine, BatchedUpdateEngine) else REFERENCE_CHUNK
+    return engine, ThreadPoolBackend(options.n_workers, chunk).map_items
 
 
 @dataclass
@@ -139,15 +181,102 @@ class BPMFResult:
         return self.rmse_running_mean[-1]
 
 
+class ChainRun:
+    """The bookkeeping of one chain around its sweeps, one per run.
+
+    It opens the resume snapshot or initialises (and shape-checks) the
+    state, picks the test points (the held-out split, else the training
+    entries), owns the :class:`PosteriorPredictor` and the
+    :class:`~repro.serving.checkpoint.TrainingCheckpointer`, evaluates
+    and checkpoints every sweep and builds the :class:`BPMFResult`.  The
+    caller runs the sweeps from ``state`` and ``rng`` (a resume snapshot
+    replaces both), drawing from ``rng``: its state is what a checkpoint
+    saves.
+    """
+
+    def __init__(self, config: BPMFConfig, options, train: RatingMatrix,
+                 split: Optional[RatingSplit], rng: np.random.Generator,
+                 state: Optional[BPMFState] = None,
+                 resume: Optional[ResumeLike] = None):
+        # Imported lazily: repro.serving depends on repro.core, so the
+        # checkpoint layer cannot be a module-level import here.
+        from repro.serving.checkpoint import TrainingCheckpointer
+
+        snapshot, state, rng = TrainingCheckpointer.open_resume(resume, state,
+                                                                rng)
+        if state is None:
+            state = initialize_state(train, config, rng)
+        if state.n_users != train.n_users or state.n_movies != train.n_movies:
+            raise ValidationError("state shape does not match the rating matrix")
+        if split is not None and split.n_test > 0:
+            self._test = split.test_triplets()
+        else:
+            self._test = train.triplets()
+        self.config = config
+        self.state = state
+        self.rng = rng
+        self._keep_samples = options.keep_sample_predictions
+        self.predictor = PosteriorPredictor(self._test[0], self._test[1],
+                                            keep_samples=self._keep_samples)
+        self.checkpointer = TrainingCheckpointer(config, options.checkpoint,
+                                                 snapshot, state,
+                                                 self.predictor)
+
+    @property
+    def iterations(self) -> range:
+        """The sweeps still to run."""
+        return range(self.checkpointer.start_iteration,
+                     self.config.total_iterations)
+
+    def record_sweep(self, iteration: int, state: BPMFState,
+                     items_updated: int) -> None:
+        """Evaluate, record and (when due) checkpoint sweep ``iteration``.
+
+        ``state`` is the chain's state after that sweep; it becomes the
+        result's state.
+        """
+        checkpointer, predictor = self.checkpointer, self.predictor
+        test_users, test_movies, test_values = self._test
+        self.state = state
+        checkpointer.items_updated += items_updated
+        sample_pred = state.predict(test_users, test_movies)
+        if iteration >= self.config.burn_in:
+            predictor.accumulate(state)
+            mean_rmse = rmse(predictor.mean_prediction(), test_values)
+        else:
+            mean_rmse = None
+        checkpointer.record(iteration, state, rmse(sample_pred, test_values),
+                            mean_rmse)
+        checkpointer.maybe_save(iteration, state, self.rng, predictor)
+
+    def result(self) -> BPMFResult:
+        """The run's :class:`BPMFResult`."""
+        checkpointer, predictor = self.checkpointer, self.predictor
+        return BPMFResult(
+            config=self.config,
+            state=self.state,
+            rmse_per_sample=checkpointer.rmse_per_sample,
+            rmse_running_mean=checkpointer.rmse_running_mean,
+            rmse_burn_in=checkpointer.rmse_burn_in,
+            predictions=predictor.mean_prediction(),
+            sample_predictions=(predictor.sample_matrix()
+                                if self._keep_samples else None),
+            items_updated=checkpointer.items_updated,
+            factor_means=(checkpointer.factor_means
+                          if checkpointer.factor_means.n_samples else None),
+        )
+
+
 class GibbsSampler:
-    """Sequential BPMF Gibbs sampler.
+    """BPMF Gibbs sampler in one process: sequential, threaded or over a
+    process pool, as ``options`` select (see :class:`SamplerOptions`).
 
     Parameters
     ----------
     config:
         Model and sweep configuration.
     options:
-        Execution options (kernel selection, logging, callbacks).
+        Execution options (engine, workers, logging, callbacks).
 
     Example
     -------
@@ -164,7 +293,7 @@ class GibbsSampler:
                  options: SamplerOptions | None = None):
         self.config = config or BPMFConfig()
         self.options = options or SamplerOptions()
-        self._engine = self.options.make_engine()
+        self._engine, self._parallel_map = make_phase_engine(self.options)
 
     @property
     def engine(self) -> UpdateEngine:
@@ -190,7 +319,7 @@ class GibbsSampler:
 
         The phase noise is pre-drawn in canonical item order before the
         engine runs, so the random stream (and hence the chain) is the same
-        for every engine and execution backend.
+        for every engine, thread count and execution backend.
         """
         k = self.config.num_latent
         # Movies first, as in Algorithm 1 of the paper.
@@ -199,13 +328,15 @@ class GibbsSampler:
         movie_noise = rng.standard_normal((ratings.n_movies, k))
         self._engine.update_items(
             state.movie_factors, state.user_factors, ratings.by_movie,
-            state.movie_prior, self.config.alpha, movie_noise)
+            state.movie_prior, self.config.alpha, movie_noise,
+            parallel_map=self._parallel_map)
         state.user_prior = sample_hyperparameters(
             state.user_factors, self.config.user_hyperprior, rng)
         user_noise = rng.standard_normal((ratings.n_users, k))
         self._engine.update_items(
             state.user_factors, state.movie_factors, ratings.by_user,
-            state.user_prior, self.config.alpha, user_noise)
+            state.user_prior, self.config.alpha, user_noise,
+            parallel_map=self._parallel_map)
         state.iteration += 1
         return ratings.n_movies + ratings.n_users
 
@@ -235,67 +366,25 @@ class GibbsSampler:
             that never stopped.  ``keep_sample_predictions`` only collects
             post-resume samples (per-sample vectors are not checkpointed).
         """
-        # Imported lazily: repro.serving depends on repro.core, so the
-        # checkpoint layer cannot be a module-level import here.
-        from repro.serving.checkpoint import TrainingCheckpointer
-
-        rng = as_generator(seed)
-        snapshot, state, rng = TrainingCheckpointer.open_resume(resume, state, rng)
-        if state is None:
-            state = initialize_state(train, self.config, rng)
-        if state.n_users != train.n_users or state.n_movies != train.n_movies:
-            raise ValidationError("state shape does not match the rating matrix")
-
-        if split is not None and split.n_test > 0:
-            test_users, test_movies, test_values = split.test_triplets()
-        else:
-            test_users, test_movies, test_values = train.triplets()
-
-        predictor = PosteriorPredictor(
-            test_users, test_movies,
-            keep_samples=self.options.keep_sample_predictions)
-        checkpointer = TrainingCheckpointer(self.config, self.options.checkpoint,
-                                            snapshot, state, predictor)
-
+        chain = ChainRun(self.config, self.options, train, split,
+                         as_generator(seed), state=state, resume=resume)
+        state, rng = chain.state, chain.rng
         # The engine may own worker processes and shared-memory segments
         # (engine="shared"); closing in a finally guarantees they are
         # released even when a sweep raises or the run is interrupted.
         try:
-            for iteration in range(checkpointer.start_iteration,
-                                   self.config.total_iterations):
-                checkpointer.items_updated += self.sweep(state, train, rng)
-                sample_pred = state.predict(test_users, test_movies)
-                if iteration >= self.config.burn_in:
-                    predictor.accumulate(state)
-                    mean_rmse = rmse(predictor.mean_prediction(), test_values)
-                else:
-                    mean_rmse = None
-                checkpointer.record(iteration, state,
-                                    rmse(sample_pred, test_values), mean_rmse)
+            for iteration in chain.iterations:
+                chain.record_sweep(iteration, state,
+                                   self.sweep(state, train, rng))
                 if self.options.verbose:
-                    phase = ("burn-in" if iteration < self.config.burn_in
-                             else "sample")
-                    latest = (checkpointer.rmse_burn_in
-                              if iteration < self.config.burn_in
-                              else checkpointer.rmse_running_mean)[-1]
-                    logger.info("iter %d (%s): rmse=%.4f",
-                                iteration, phase, latest)
+                    burn_in = iteration < self.config.burn_in
+                    traces = chain.checkpointer
+                    logger.info("iter %d (%s): rmse=%.4f", iteration,
+                                "burn-in" if burn_in else "sample",
+                                (traces.rmse_burn_in if burn_in
+                                 else traces.rmse_running_mean)[-1])
                 if self.options.callback is not None:
                     self.options.callback(state, iteration)
-                checkpointer.maybe_save(iteration, state, rng, predictor)
         finally:
             self._engine.close()
-
-        return BPMFResult(
-            config=self.config,
-            state=state,
-            rmse_per_sample=checkpointer.rmse_per_sample,
-            rmse_running_mean=checkpointer.rmse_running_mean,
-            rmse_burn_in=checkpointer.rmse_burn_in,
-            predictions=predictor.mean_prediction(),
-            sample_predictions=(predictor.sample_matrix()
-                                if self.options.keep_sample_predictions else None),
-            items_updated=checkpointer.items_updated,
-            factor_means=(checkpointer.factor_means
-                          if checkpointer.factor_means.n_samples else None),
-        )
+        return chain.result()

@@ -27,7 +27,6 @@ from repro.core.recommend import Recommendation, recommend_for_user
 from repro.core.sideinfo import MacauGibbsSampler, SideInfo
 from repro.core.state import BPMFState
 from repro.distributed.sampler import DistributedGibbsSampler, DistributedOptions
-from repro.multicore.sampler import MulticoreGibbsSampler, MulticoreOptions
 from repro.sparse.csr import RatingMatrix
 from repro.sparse.split import RatingSplit
 from repro.utils.rng import SeedLike
@@ -56,7 +55,9 @@ class BPMF:
         Optional ``(low, high)`` range applied to predictions, e.g.
         ``(0.5, 5.0)`` for MovieLens stars.
     n_threads, n_ranks:
-        Backend-specific parallelism knobs.
+        Backend-specific parallelism knobs: ``"multicore"`` is the
+        :class:`~repro.core.gibbs.GibbsSampler` with ``n_threads`` worker
+        threads (``SamplerOptions(n_workers=n_threads)``).
     user_side, movie_side:
         :class:`~repro.core.sideinfo.SideInfo` for the ``"sideinfo"`` backend.
 
@@ -129,11 +130,10 @@ class BPMF:
         centred_train, centred_split = self._centred(train, split)
         self._train = train
 
-        if self.backend == "sequential":
-            result = GibbsSampler(config).run(centred_train, centred_split, seed=seed)
-        elif self.backend == "multicore":
-            result = MulticoreGibbsSampler(
-                config, MulticoreOptions(n_threads=self.n_threads)
+        if self.backend in ("sequential", "multicore"):
+            n_workers = self.n_threads if self.backend == "multicore" else None
+            result = GibbsSampler(
+                config, SamplerOptions(n_workers=n_workers)
             ).run(centred_train, centred_split, seed=seed)
         elif self.backend == "distributed":
             result, _ = DistributedGibbsSampler(

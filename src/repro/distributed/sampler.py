@@ -80,9 +80,9 @@ class DistributedOptions:
     policy: HybridUpdatePolicy = field(default_factory=HybridUpdatePolicy)
     engine: str = "batched"  # update execution strategy (see core.batch_engine)
     compute_dtype: str = "float64"  # kernel precision of the batched/shared engines
-    #: Process-pool size per rank for ``engine="shared"`` — every rank runs
-    #: its phase across its own pool, as a cluster node does across its
-    #: local cores.
+    #: Per-rank phase parallelism, as ``SamplerOptions.n_workers``: every
+    #: rank runs its block on its own processes (``engine="shared"``) or
+    #: threads, as a cluster node does on its local cores.
     n_workers: Optional[int] = None
     workload: WorkloadModel = field(default_factory=WorkloadModel)
     keep_sample_predictions: bool = False

@@ -39,15 +39,15 @@ this hold:
   cannot affect the result; an unexpected id raises instead (a wrong
   plan must fail loudly).
 
-**Engines.**  Each rank builds its own update engine from the options
-and closes it when the run ends, so a sampler object carries no
-per-rank state.  Under ``engine="shared"`` that means one process pool
-of ``n_workers`` per rank, as on a cluster node.
+**Engines.**  Each rank builds its own update engine and thread map with
+:func:`repro.core.gibbs.make_phase_engine`, as the in-process sampler
+does, and closes it when the run ends, so ``n_workers`` means per rank
+what it means in one process (``engine="shared"``: processes, otherwise
+threads) and a sampler object carries no per-rank state.
 
-**Checkpoint/resume.**  Rank 0 owns the
-:class:`~repro.serving.checkpoint.TrainingCheckpointer` and the
-posterior predictor, exactly as the sequential sampler does, and saves
-the gathered authoritative state.  At a sweep boundary every rank's copy
+**Checkpoint/resume.**  Rank 0 keeps the chain's bookkeeping in the
+in-process sampler's :class:`repro.core.gibbs.ChainRun`, fed with the
+gathered authoritative state.  At a sweep boundary every rank's copy
 of each row it reads next equals the authoritative row, so on resume
 rank 0 opens the snapshot and broadcasts the factors, the generator
 state and the start sweep; the other ranks adopt them and never touch
@@ -62,10 +62,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.batch_engine import UpdateEngine, make_update_engine
-from repro.core.gibbs import BPMFResult, ResumeLike
-from repro.core.metrics import rmse
-from repro.core.predict import PosteriorPredictor
+from repro.core.batch_engine import ParallelMap, UpdateEngine
+from repro.core.gibbs import BPMFResult, ChainRun, ResumeLike, make_phase_engine
+# Evaluation runs in ChainRun through ``repro.core.gibbs.rmse``; the name
+# stays importable here because perfbench/layers.py times ``spmd.rmse`` too.
+from repro.core.metrics import rmse  # noqa: F401
 from repro.core.priors import GaussianPrior
 from repro.core.state import BPMFState, initialize_state
 from repro.core.wishart import (
@@ -165,13 +166,15 @@ def _bcast_resume_point(comm, state: Optional[BPMFState],
 class _SpmdRank:
     """The state one rank carries through an SPMD run."""
 
-    def __init__(self, config, options, engine: UpdateEngine, comm,
+    def __init__(self, config, options, engine: UpdateEngine,
+                 parallel_map: Optional[ParallelMap], comm,
                  train: RatingMatrix, partition: Partition,
                  plan: CommunicationPlan, rng: np.random.Generator,
                  state: BPMFState):
         self.config = config
         self.options = options
         self.engine = engine
+        self.parallel_map = parallel_map
         self.comm = comm
         self.rank = comm.rank
         self.train = train
@@ -261,7 +264,8 @@ class _SpmdRank:
 
         owned = np.asarray(owned_of(self.rank), dtype=np.int64)
         self.engine.update_items(target, source, axis, prior, config.alpha,
-                                 noise, items=owned)
+                                 noise, items=owned,
+                                 parallel_map=self.parallel_map)
 
         with maybe_span("mpi.exchange", phase=entity, rank=self.rank):
             buffers: Dict[int, SendBuffer] = {}
@@ -370,7 +374,6 @@ def run_spmd(sampler, world, train: RatingMatrix,
     The caller owns the world's lifetime; ``run_spmd`` leaves it open.
     """
     from repro.distributed.sampler import DistributedRunInfo
-    from repro.serving.checkpoint import TrainingCheckpointer
 
     config, options = sampler.config, sampler.options
     comm = world.comm()
@@ -380,26 +383,11 @@ def run_spmd(sampler, world, train: RatingMatrix,
             f"{options.n_ranks} — the partition would not match")
 
     rng = as_generator(seed)
-    snapshot = checkpointer = predictor = None
+    chain: Optional[ChainRun] = None
     if comm.rank == 0:
-        snapshot, state, rng = TrainingCheckpointer.open_resume(
-            resume, None, rng)
-        if state is None:
-            state = initialize_state(train, config, rng)
-        elif state.n_users != train.n_users \
-                or state.n_movies != train.n_movies:
-            raise ValidationError(
-                "snapshot shape does not match the rating matrix")
-        if split is not None and split.n_test > 0:
-            test_users, test_movies, test_values = split.test_triplets()
-        else:
-            test_users, test_movies, test_values = train.triplets()
-        predictor = PosteriorPredictor(
-            test_users, test_movies,
-            keep_samples=options.keep_sample_predictions)
-        checkpointer = TrainingCheckpointer(config, options.checkpoint,
-                                            snapshot, state, predictor)
-        start = checkpointer.start_iteration
+        chain = ChainRun(config, options, train, split, rng, resume=resume)
+        state, rng = chain.state, chain.rng
+        start = chain.iterations.start
     elif resume is None:
         state, start = initialize_state(train, config, rng), 0
     else:
@@ -409,16 +397,11 @@ def run_spmd(sampler, world, train: RatingMatrix,
 
     partition = _resolve_partition(train, options, partition)
     plan = build_comm_plan(train, partition)
-    engine = make_update_engine(options.engine,
-                                update_method=options.update_method,
-                                policy=options.policy,
-                                compute_dtype=options.compute_dtype,
-                                n_workers=options.n_workers)
-    rank_state = _SpmdRank(config, options, engine, comm, train, partition,
-                           plan, rng, state)
+    engine, parallel_map = make_phase_engine(options)
+    rank_state = _SpmdRank(config, options, engine, parallel_map, comm,
+                           train, partition, plan, rng, state)
     user_prior = GaussianPrior.standard(config.num_latent)
     movie_prior = GaussianPrior.standard(config.num_latent)
-    gathered = state
 
     # engine="shared" owns worker processes and shared-memory segments;
     # the finally releases them even when a phase raises mid-run.
@@ -437,21 +420,9 @@ def run_spmd(sampler, world, train: RatingMatrix,
 
                 gathered = rank_state.gather_state(user_prior, movie_prior,
                                                    iteration + 1)
-                if checkpointer is not None:
-                    checkpointer.items_updated += (train.n_users
-                                                   + train.n_movies)
-                    sample_pred = gathered.predict(test_users, test_movies)
-                    if iteration >= config.burn_in:
-                        predictor.accumulate(gathered)
-                        mean_rmse = rmse(predictor.mean_prediction(),
-                                         test_values)
-                    else:
-                        mean_rmse = None
-                    checkpointer.record(iteration, gathered,
-                                        rmse(sample_pred, test_values),
-                                        mean_rmse)
-                    checkpointer.maybe_save(iteration, gathered, rng,
-                                            predictor)
+                if chain is not None:
+                    chain.record_sweep(iteration, gathered,
+                                       train.n_users + train.n_movies)
         # Everyone finishes before anyone tears its links down.
         comm.barrier()
     finally:
@@ -463,21 +434,7 @@ def run_spmd(sampler, world, train: RatingMatrix,
             f"that were never received — the communication plan and the "
             f"exchange loop are inconsistent")
 
-    result: Optional[BPMFResult] = None
-    if checkpointer is not None:
-        result = BPMFResult(
-            config=config,
-            state=gathered,
-            rmse_per_sample=checkpointer.rmse_per_sample,
-            rmse_running_mean=checkpointer.rmse_running_mean,
-            rmse_burn_in=checkpointer.rmse_burn_in,
-            predictions=predictor.mean_prediction(),
-            sample_predictions=(predictor.sample_matrix()
-                                if options.keep_sample_predictions else None),
-            items_updated=checkpointer.items_updated,
-            factor_means=(checkpointer.factor_means
-                          if checkpointer.factor_means.n_samples else None),
-        )
+    result = chain.result() if chain is not None else None
     info = DistributedRunInfo(
         partition=partition,
         plan=plan,

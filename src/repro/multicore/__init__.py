@@ -1,21 +1,19 @@
-"""Multi-core BPMF (Section III of the paper).
+"""Multi-core BPMF performance study (Section III, Figure 3 of the paper).
 
-Two complementary pieces:
+The threaded sampler itself is :class:`repro.core.gibbs.GibbsSampler`
+with ``SamplerOptions(n_workers=k)``: each phase's independent item
+updates run on ``k`` real threads and reproduce the sequential chain bit
+for bit.  This package holds the Figure 3 study around it:
 
-* :mod:`repro.multicore.sampler` — a functionally parallel Gibbs sampler
-  that decomposes each sweep into independent per-item updates and runs
-  them through a thread-pool backend.  It produces *exactly* the same
-  samples as the sequential reference (verified by the test-suite), which
-  is the reproduction of the paper's accuracy-parity claim.
-* :mod:`repro.multicore.sweep` — the performance study: the same per-item
-  task sets are placed on the simulated multicore machine by the
-  work-stealing (TBB-like), static (OpenMP-like) and vertex-engine
-  (GraphLab-like) schedulers to regenerate Figure 3's throughput-vs-threads
-  curves.
+* :mod:`repro.multicore.tasks` — one sweep's per-item tasks, each costed
+  from its degree;
+* :mod:`repro.multicore.sweep` — those task sets placed on the simulated
+  multicore machine by the work-stealing (TBB-like), static (OpenMP-like)
+  and vertex-engine (GraphLab-like) schedulers, regenerating Figure 3's
+  throughput-vs-threads curves.
 """
 
 from repro.multicore.tasks import phase_tasks, sweep_tasks
-from repro.multicore.sampler import MulticoreGibbsSampler, MulticoreOptions
 from repro.multicore.sweep import (
     ThreadSweepResult,
     multicore_thread_sweep,
@@ -25,8 +23,6 @@ from repro.multicore.sweep import (
 __all__ = [
     "phase_tasks",
     "sweep_tasks",
-    "MulticoreGibbsSampler",
-    "MulticoreOptions",
     "ThreadSweepResult",
     "multicore_thread_sweep",
     "default_schedulers",

@@ -1,14 +1,14 @@
-"""Real-thread execution backend for functional validation.
+"""Real-thread execution backend of the threaded sampler.
 
 The simulated schedulers answer the paper's *performance* questions; this
-backend answers the *correctness* question: the multicore sampler really
-can update disjoint items concurrently (the conditional of item ``i`` never
-reads another item of the same entity class, only the other class's
-factors, which are frozen during the phase).  It runs item updates on a
-:class:`concurrent.futures.ThreadPoolExecutor`; with CPython's GIL and a
-single available core this brings no speed-up — it exists to prove the
-decomposition is race-free and to exercise the same code path a real
-multicore deployment would use.
+backend runs the threaded sampler (``SamplerOptions(n_workers=k)``): it
+updates disjoint items concurrently, which is race-free because the
+conditional of item ``i`` never reads another item of the same entity
+class, only the other class's factors, which are frozen during the phase.
+It runs item (or degree-bucket) updates on a
+:class:`concurrent.futures.ThreadPoolExecutor`; NumPy's stacked LAPACK
+calls release the GIL, so on several cores the batched engine's buckets
+really overlap, while on one core this only proves the decomposition.
 """
 
 from __future__ import annotations

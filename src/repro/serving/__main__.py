@@ -53,7 +53,6 @@ from repro.core.gibbs import GibbsSampler, SamplerOptions
 from repro.core.priors import BPMFConfig
 from repro.core.recommend import recommend_for_user
 from repro.datasets.synthetic import SyntheticConfig, make_low_rank_dataset
-from repro.multicore.sampler import MulticoreGibbsSampler, MulticoreOptions
 from repro.obs import Tracer
 from repro.serving.checkpoint import CheckpointConfig, load_snapshot
 from repro.serving.cluster import ClusterError, ShardedScorer, SnapshotWatcher
@@ -63,7 +62,6 @@ from repro.serving.service import PredictionService
 from repro.utils.logging import set_verbosity
 from repro.utils.validation import ValidationError
 
-_BACKENDS = ("sequential", "multicore")
 _ENGINES = ("batched", "shared", "reference")
 
 
@@ -104,14 +102,8 @@ def _cmd_train(args) -> int:
     checkpoint = CheckpointConfig(path=args.snapshot,
                                   every=args.checkpoint_every
                                   or config.total_iterations)
-    n_workers = args.workers if args.engine == "shared" else None
-    if args.backend == "multicore":
-        sampler = MulticoreGibbsSampler(config, MulticoreOptions(
-            n_threads=args.threads, engine=args.engine, n_workers=n_workers,
-            checkpoint=checkpoint))
-    else:
-        sampler = GibbsSampler(config, SamplerOptions(
-            engine=args.engine, n_workers=n_workers, checkpoint=checkpoint))
+    sampler = GibbsSampler(config, SamplerOptions(
+        engine=args.engine, n_workers=args.workers, checkpoint=checkpoint))
     result = sampler.run(data.split.train, data.split, seed=args.seed,
                          resume=args.resume)
     print(f"trained {config.total_iterations} sweeps on "
@@ -1384,14 +1376,12 @@ def main(argv: list[str] | None = None) -> int:
     train.add_argument("--burn-in", type=int, default=5)
     train.add_argument("--n-samples", type=int, default=10)
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--backend", choices=_BACKENDS, default="sequential")
-    train.add_argument("--threads", type=int, default=2,
-                       help="threads for --backend multicore")
     train.add_argument("--engine", choices=_ENGINES, default="batched",
                        help="update-engine: batched (default), shared "
                             "(process pool over shared memory), reference")
     train.add_argument("--workers", type=int, default=None,
-                       help="process-pool size for --engine shared")
+                       help="processes (--engine shared) or threads "
+                            "(batched, reference) per phase")
     train.add_argument("--checkpoint-every", type=int, default=None,
                        help="save every k sweeps (default: final sweep only)")
     train.add_argument("--resume", default=None,

@@ -872,7 +872,7 @@ class AsyncServingClient(_ClientCore):
         connection.binary = self._negotiate(reply)
         connection.trace = self._negotiate_trace(reply)
         connection.reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop(connection))
+            self._read_loop(index, connection))
         return connection
 
     async def _handshake(self, connection: _AsyncConnection) -> Frame:
@@ -895,8 +895,14 @@ class AsyncServingClient(_ClientCore):
                 connection.backlog.extend(frames[1:])
                 return frames[0]
 
-    async def _read_loop(self, connection: _AsyncConnection) -> None:
-        """Match incoming frames to pending request futures by id."""
+    async def _read_loop(self, index: int,
+                         connection: _AsyncConnection) -> None:
+        """Match incoming frames to pending request futures by id.
+
+        When the stream dies the connection is evicted too (if it is
+        still the cached one), so the next request reconnects or fails
+        over at once instead of waiting out its timeout on a dead link.
+        """
         try:
             for frame in connection.backlog:
                 self._dispatch(connection, frame)
@@ -913,6 +919,9 @@ class AsyncServingClient(_ClientCore):
             raise
         except (OSError, ConnectionError, ProtocolError) as error:
             self._fail_pending(connection, error)
+            if self._connections.get(index) is connection:
+                del self._connections[index]
+                connection.writer.close()
 
     @staticmethod
     def _dispatch(connection: _AsyncConnection, frame: Frame) -> None:

@@ -108,6 +108,31 @@ class TestAccuracyDriver:
         assert result.max_rmse_gap() < 0.1
         assert "implementation" in result.to_table().render()
 
+    def test_exact_match_means_bitwise_and_multicore_runs_threads(
+            self, monkeypatch):
+        """The "bitwise identical" column is array_equal, not allclose: the
+        stats-mode chain differs from the sequential one by rounding only,
+        so it is close but not identical; and the multicore row really
+        maps its phases over 2 threads."""
+        from repro.parallel.thread_backend import ThreadPoolBackend
+
+        thread_counts = set()
+        original = ThreadPoolBackend.map_items
+
+        def counting(backend, func, items):
+            thread_counts.add(backend.n_threads)
+            return original(backend, func, items)
+
+        monkeypatch.setattr(ThreadPoolBackend, "map_items", counting)
+        result = run_accuracy_parity(n_ranks=4, seed=7)
+        assert thread_counts == {2}
+        stats = result.results["distributed (stats)"].state
+        reference = result.results["sequential"].state
+        assert np.allclose(stats.user_factors, reference.user_factors)
+        assert not result.exact_match["distributed (stats)"]
+        assert result.exact_match["multicore"]
+        assert result.exact_match["distributed (gather)"]
+
 
 class TestSpeedupDriver:
     def test_speedup_ladder(self):

@@ -92,6 +92,24 @@ class TestDistributedSamplerParity:
             np.testing.assert_array_equal(dist.factor_means.movie_sum,
                                           seq.factor_means.movie_sum)
 
+    def test_threaded_ranks_match_sequential(self, tiny_dataset, tiny_config):
+        """n_workers means on every rank what it means in one process: 2
+        ranks, each mapping its owned buckets over 2 threads, sample the
+        sequential chain bit for bit."""
+        seq = GibbsSampler(tiny_config).run(tiny_dataset.split.train,
+                                            tiny_dataset.split, seed=21)
+        dist, _ = DistributedGibbsSampler(
+            tiny_config, DistributedOptions(n_ranks=2, hyper_mode="gather",
+                                            engine="batched", n_workers=2)
+        ).run(tiny_dataset.split.train, tiny_dataset.split, seed=21)
+        np.testing.assert_array_equal(dist.state.user_factors,
+                                      seq.state.user_factors)
+        np.testing.assert_array_equal(dist.state.movie_factors,
+                                      seq.state.movie_factors)
+        assert dist.rmse_burn_in == seq.rmse_burn_in
+        assert dist.rmse_running_mean == seq.rmse_running_mean
+        np.testing.assert_array_equal(dist.predictions, seq.predictions)
+
     def test_shared_engine_matches_batched_distributed_run(self, tiny_dataset,
                                                            tiny_config):
         """Each rank's per-node phase through the process pool is

@@ -14,7 +14,7 @@ from repro import (
     DistributedGibbsSampler,
     DistributedOptions,
     GibbsSampler,
-    MulticoreGibbsSampler,
+    SamplerOptions,
     available_datasets,
     load_dataset,
     make_chembl_like,
@@ -57,12 +57,15 @@ class TestEndToEndRecommendationPipeline:
         config = BPMFConfig(num_latent=4, burn_in=4, n_samples=8, alpha=3.0)
 
         sequential = GibbsSampler(config).run(split.train, split, seed=0)
-        multicore = MulticoreGibbsSampler(config).run(split.train, split, seed=0)
+        multicore = GibbsSampler(config, SamplerOptions(n_workers=2)).run(
+            split.train, split, seed=0)
         distributed, info = DistributedGibbsSampler(
             config, DistributedOptions(n_ranks=3, hyper_mode="gather")
         ).run(split.train, split, seed=0)
 
-        assert multicore.final_rmse == pytest.approx(sequential.final_rmse)
+        np.testing.assert_array_equal(multicore.state.user_factors,
+                                      sequential.state.user_factors)
+        assert multicore.final_rmse == sequential.final_rmse
         assert distributed.final_rmse == pytest.approx(sequential.final_rmse)
         assert info.n_messages > 0
 

@@ -1,15 +1,20 @@
-"""Tests for the multicore sampler (correctness) and the Figure 3 sweep (shape)."""
+"""Tests for the threaded sampler (correctness) and the Figure 3 sweep (shape).
+
+The shared-memory sampler is :class:`repro.core.gibbs.GibbsSampler` with
+``SamplerOptions(n_workers=k)``; every thread count must sample the
+sequential chain bit for bit.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.gibbs import GibbsSampler
+from repro.core.gibbs import GibbsSampler, SamplerOptions
 from repro.core.priors import BPMFConfig
-from repro.multicore.sampler import MulticoreGibbsSampler, MulticoreOptions
 from repro.multicore.sweep import default_schedulers, multicore_thread_sweep
 from repro.multicore.tasks import phase_tasks, sweep_tasks
+from repro.utils.validation import ValidationError
 
 
 class TestMulticoreTasks:
@@ -38,26 +43,59 @@ class TestMulticoreTasks:
         assert tasks[heaviest].duration > tasks[lightest].duration
 
 
+def threaded(config, n_workers, engine="batched"):
+    """The shared-memory sampler: GibbsSampler on ``n_workers`` threads."""
+    return GibbsSampler(config, SamplerOptions(engine=engine,
+                                               n_workers=n_workers))
+
+
+def assert_same_chain(left, right):
+    np.testing.assert_array_equal(left.state.user_factors,
+                                  right.state.user_factors)
+    np.testing.assert_array_equal(left.state.movie_factors,
+                                  right.state.movie_factors)
+    assert left.rmse_burn_in == right.rmse_burn_in
+    assert left.rmse_running_mean == right.rmse_running_mean
+    np.testing.assert_array_equal(left.predictions, right.predictions)
+
+
 class TestMulticoreSamplerCorrectness:
     def test_bitwise_parity_with_sequential(self, tiny_dataset, tiny_config):
-        """The multicore sampler must reproduce the sequential chain exactly."""
+        """Two threads must reproduce the sequential chain exactly."""
         seq = GibbsSampler(tiny_config).run(tiny_dataset.split.train,
                                             tiny_dataset.split, seed=9)
-        multi = MulticoreGibbsSampler(tiny_config).run(tiny_dataset.split.train,
-                                                       tiny_dataset.split, seed=9)
-        np.testing.assert_allclose(multi.state.user_factors, seq.state.user_factors)
-        np.testing.assert_allclose(multi.state.movie_factors, seq.state.movie_factors)
-        assert multi.final_rmse == pytest.approx(seq.final_rmse)
+        multi = threaded(tiny_config, 2).run(tiny_dataset.split.train,
+                                             tiny_dataset.split, seed=9)
+        assert_same_chain(multi, seq)
+        assert multi.final_rmse == seq.final_rmse
 
-    def test_thread_count_does_not_change_results(self, tiny_dataset, tiny_config):
-        single = MulticoreGibbsSampler(
-            tiny_config, MulticoreOptions(n_threads=1)).run(
-            tiny_dataset.split.train, tiny_dataset.split, seed=3)
-        threaded = MulticoreGibbsSampler(
-            tiny_config, MulticoreOptions(n_threads=4, chunk_size=5)).run(
-            tiny_dataset.split.train, tiny_dataset.split, seed=3)
-        np.testing.assert_allclose(threaded.state.user_factors,
-                                   single.state.user_factors)
+    def test_thread_count_does_not_change_results(self, tiny_dataset,
+                                                  tiny_config):
+        """1 and 4 threads sample the same chain on both in-process
+        engines (the reference engine maps items in chunks, the batched
+        engine one degree bucket per task)."""
+        for engine in ("batched", "reference"):
+            single = threaded(tiny_config, 1, engine).run(
+                tiny_dataset.split.train, tiny_dataset.split, seed=3)
+            four = threaded(tiny_config, 4, engine).run(
+                tiny_dataset.split.train, tiny_dataset.split, seed=3)
+            assert_same_chain(four, single)
+
+    def test_threads_map_over_buckets_and_item_chunks(self):
+        """n_workers builds a thread map for in-process engines only."""
+        from repro.core.gibbs import REFERENCE_CHUNK, make_phase_engine
+
+        _, none = make_phase_engine(SamplerOptions())
+        assert none is None
+        _, batched = make_phase_engine(SamplerOptions(n_workers=3))
+        assert batched.__self__.n_threads == 3
+        assert batched.__self__.chunk_size == 1
+        _, reference = make_phase_engine(SamplerOptions(engine="reference",
+                                                        n_workers=3))
+        assert reference.__self__.chunk_size == REFERENCE_CHUNK
+        engine, shared = make_phase_engine(SamplerOptions(engine="shared",
+                                                          n_workers=3))
+        assert shared is None and engine.n_workers == 3
 
     def test_shared_engine_bitwise_parity_with_sequential(self, tiny_dataset,
                                                           tiny_config):
@@ -65,36 +103,32 @@ class TestMulticoreSamplerCorrectness:
         and the run tears its worker pool down on exit."""
         seq = GibbsSampler(tiny_config).run(tiny_dataset.split.train,
                                             tiny_dataset.split, seed=9)
-        sampler = MulticoreGibbsSampler(
-            tiny_config, MulticoreOptions(engine="shared", n_threads=2))
+        sampler = threaded(tiny_config, 2, engine="shared")
         shared = sampler.run(tiny_dataset.split.train, tiny_dataset.split,
                              seed=9)
-        np.testing.assert_array_equal(shared.state.user_factors,
-                                      seq.state.user_factors)
-        np.testing.assert_array_equal(shared.state.movie_factors,
-                                      seq.state.movie_factors)
-        assert shared.final_rmse == pytest.approx(seq.final_rmse)
-        assert not sampler._engine.pool_running  # closed by run()'s finally
+        assert_same_chain(shared, seq)
+        assert shared.final_rmse == seq.final_rmse
+        assert not sampler.engine.pool_running  # closed by run()'s finally
 
     def test_trace_lengths(self, tiny_dataset, tiny_config):
-        result = MulticoreGibbsSampler(tiny_config).run(
+        result = threaded(tiny_config, 2).run(
             tiny_dataset.split.train, tiny_dataset.split, seed=0)
         assert len(result.rmse_burn_in) == tiny_config.burn_in
         assert len(result.rmse_running_mean) == tiny_config.n_samples
 
     def test_accuracy_on_low_rank_signal(self, small_dataset):
         config = BPMFConfig(num_latent=5, burn_in=6, n_samples=10, alpha=8.0)
-        result = MulticoreGibbsSampler(config, MulticoreOptions(n_threads=2)).run(
+        result = threaded(config, 2).run(
             small_dataset.split.train, small_dataset.split, seed=1)
         assert result.final_rmse < 2.5 * small_dataset.config.noise_std
 
     def test_mismatched_state_rejected(self, tiny_dataset, small_dataset, tiny_config):
         from repro.core.state import initialize_state
         state = initialize_state(small_dataset.split.train, tiny_config, 0)
-        with pytest.raises(Exception):
-            MulticoreGibbsSampler(tiny_config).run(tiny_dataset.split.train,
-                                                   tiny_dataset.split, seed=0,
-                                                   state=state)
+        with pytest.raises(ValidationError, match="shape"):
+            threaded(tiny_config, 2).run(tiny_dataset.split.train,
+                                         tiny_dataset.split, seed=0,
+                                         state=state)
 
 
 class TestFigure3Sweep:

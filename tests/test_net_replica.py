@@ -150,6 +150,8 @@ def test_mutations_do_fail_over_when_nothing_was_sent(snapshot):
 
 
 def test_async_client_fails_over_too(snapshot, reference):
+    """Failover is prompt: a killed replica's dead connection is evicted
+    when its reader sees EOF, so no request waits out the 10 s timeout."""
     import asyncio
 
     with ReplicaSet(lambda index: PredictionService(snapshot),
@@ -159,11 +161,13 @@ def test_async_client_fails_over_too(snapshot, reference):
                                           cooldown=0.05) as client:
                 before = await client.top_n(3, n=5)
                 replicas.kill(0)
+                started = time.monotonic()
                 after = await client.top_n(3, n=5)
                 health = await client.health()
-                return before, after, health
+                return before, after, health, time.monotonic() - started
 
-        before, after, health = asyncio.run(exercise())
+        before, after, health, failover_s = asyncio.run(exercise())
+    assert failover_s < 2.0
     expected = reference.top_n(3, n=5)
     for served in (before, after):
         assert expected.items.tolist() == served.items.tolist()

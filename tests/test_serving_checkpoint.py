@@ -3,8 +3,8 @@
 The headline contract (alongside ``tests/test_batch_engine_parity.py``):
 a chain checkpointed at sweep k and resumed reproduces the uninterrupted
 chain *bit for bit* — same factors, same RMSE traces — for the sequential,
-multicore and distributed samplers, and even across backends (a sequential
-checkpoint resumed on the multicore sampler).
+threaded (``n_workers=2``) and distributed samplers, and even across
+backends (a sequential checkpoint resumed on two threads).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.core.gibbs import GibbsSampler, SamplerOptions
 from repro.core.priors import BPMFConfig
 from repro.datasets.synthetic import SyntheticConfig, make_low_rank_dataset
 from repro.distributed.sampler import DistributedGibbsSampler, DistributedOptions
-from repro.multicore.sampler import MulticoreGibbsSampler, MulticoreOptions
 from repro.serving.checkpoint import (
     SNAPSHOT_FORMAT,
     CheckpointConfig,
@@ -214,23 +213,29 @@ class TestExactResume:
         path = tmp_path / "mc.npz"
         full = GibbsSampler(FULL).run(data.split.train, data.split, seed=5)
         _train_with_checkpoint(GibbsSampler, SamplerOptions(), data, path)
-        resumed = MulticoreGibbsSampler(
-            FULL, MulticoreOptions(n_threads=2)).run(
+        resumed = GibbsSampler(FULL, SamplerOptions(n_workers=2)).run(
             data.split.train, data.split, resume=path)
         np.testing.assert_array_equal(resumed.state.user_factors,
                                       full.state.user_factors)
+        np.testing.assert_array_equal(resumed.state.movie_factors,
+                                      full.state.movie_factors)
+        assert resumed.rmse_burn_in == full.rmse_burn_in
         assert resumed.rmse_running_mean == full.rmse_running_mean
+        np.testing.assert_array_equal(resumed.predictions, full.predictions)
 
     def test_multicore_checkpoint_resumes(self, data, tmp_path):
         path = tmp_path / "mc2.npz"
-        options = MulticoreOptions(n_threads=2)
-        full = MulticoreGibbsSampler(FULL, MulticoreOptions(n_threads=2)).run(
+        full = GibbsSampler(FULL, SamplerOptions(n_workers=2)).run(
             data.split.train, data.split, seed=5)
-        _train_with_checkpoint(MulticoreGibbsSampler, options, data, path)
-        resumed = MulticoreGibbsSampler(FULL, MulticoreOptions(n_threads=2)).run(
+        _train_with_checkpoint(GibbsSampler, SamplerOptions(n_workers=2),
+                               data, path)
+        resumed = GibbsSampler(FULL, SamplerOptions(n_workers=2)).run(
             data.split.train, data.split, resume=path)
         np.testing.assert_array_equal(resumed.state.user_factors,
                                       full.state.user_factors)
+        np.testing.assert_array_equal(resumed.state.movie_factors,
+                                      full.state.movie_factors)
+        assert resumed.rmse_running_mean == full.rmse_running_mean
 
     def test_distributed_resume_is_bit_identical(self, data, tmp_path):
         path = tmp_path / "dist.npz"

@@ -41,12 +41,20 @@ def test_train_resume_continues_the_chain(trained_snapshot, tmp_path, capsys):
 
 
 def test_train_multicore_backend(tmp_path, capsys):
-    out = tmp_path / "mc.npz"
-    code = main(["train", "--snapshot", str(out), "--backend", "multicore",
-                 "--threads", "2", "--users", "40", "--movies", "30",
-                 "--num-latent", "3", "--burn-in", "1", "--n-samples", "2"])
-    assert code == 0
-    assert load_snapshot(out).state.iteration == 3
+    """Training on 2 threads (--engine batched --workers 2) runs the full
+    chain and writes a bit-identical snapshot to the one-thread run."""
+    one, two = tmp_path / "one.npz", tmp_path / "mc.npz"
+    common = ["--engine", "batched", "--users", "40", "--movies", "30",
+              "--num-latent", "3", "--burn-in", "1", "--n-samples", "2"]
+    assert main(["train", "--snapshot", str(one)] + common) == 0
+    assert main(["train", "--snapshot", str(two), "--workers", "2"]
+                + common) == 0
+    left, right = load_snapshot(one), load_snapshot(two)
+    assert right.state.iteration == 3
+    np.testing.assert_array_equal(left.state.user_factors,
+                                  right.state.user_factors)
+    np.testing.assert_array_equal(left.state.movie_factors,
+                                  right.state.movie_factors)
 
 
 def test_info_reports_the_snapshot(trained_snapshot, capsys):
